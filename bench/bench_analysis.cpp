@@ -3,21 +3,13 @@
  * Static-analyzer benchmarks plus the dataflow soundness gate.
  *
  * `--verify` runs the tier-1 `dataflow_soundness_gate`: across all 14
- * services it checks the static dataflow verdicts against dynamic
- * execution —
- *
- *  1. Taint tier: for every request, the dynamic TaintTracker tier must
- *     be <= the static bound (the static analysis may only
- *     over-approximate), and for tier-1-proven programs every memory
- *     op's dynamic relocation kind must equal the proof's memKind table
- *     (the invariant the capture fast path relies on).
- *
- *  2. Branch uniformity: lockstep runs under both reconvergence
- *     policies and both a homogeneous and a deliberately mixing batch
- *     policy must observe zero divergence at UniformAlways branches and
- *     zero divergence at UniformPerBatch branches within
- *     (api, argLen)-uniform batches (the engine's hintViolations
- *     tripwire, plus the profiler-side attribution check).
+ * services it checks the static branch-uniformity verdicts against
+ * dynamic execution. Lockstep runs under both reconvergence policies
+ * and both a homogeneous and a deliberately mixing batch policy must
+ * observe zero divergence at UniformAlways branches and zero divergence
+ * at UniformPerBatch branches within (api, argLen)-uniform batches (the
+ * engine's hintViolations tripwire, plus the profiler-side attribution
+ * check).
  *
  * Without --verify, google-benchmark microbenchmarks keep the analyzer
  * (which gates every simulation) and the new dataflow fixpoint honest.
@@ -35,8 +27,6 @@
 #include "analysis/dom.h"
 #include "obs/divergence.h"
 #include "simr/runner.h"
-#include "trace/capture.h"
-#include "trace/interp.h"
 
 using namespace simr;
 
@@ -132,62 +122,12 @@ BENCHMARK(BM_CheckedReplay);
 struct GateResult
 {
     int failures = 0;
-    uint64_t requests = 0;
-    uint64_t memOps = 0;
+    uint64_t batches = 0;
     uint64_t divergeEvents = 0;
 };
 
 /**
- * Scalar half of the gate: dynamic taint tier vs the static bound, and
- * the per-op relocation kinds the tier-1 fast path would skip
- * computing.
- */
-void
-verifyTaint(const svc::Service &svc, const trace::StaticProof &proof,
-            int requests, GateResult *out)
-{
-    trace::ProgramIndex pi(svc.program());
-    trace::ThreadState ts(svc.program());
-    trace::TaintTracker taint;
-    auto reqs = genRequests(svc, requests, 7);
-    mem::HeapAllocator alloc(mem::AllocPolicy::SimrAware);
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        auto init = svc::makeThreadInit(svc, reqs[i], 0, i, alloc);
-        ts.reset(init);
-        taint.reset();
-        trace::StepResult r;
-        while (!ts.done()) {
-            ts.step(r);
-            trace::AddrKind k = taint.step(*r.si, r);
-            if (!isa::opInfo(r.si->op).isMem)
-                continue;
-            ++out->memOps;
-            if (proof.tier1() &&
-                static_cast<uint8_t>(k) != proof.memKind[pi.flatOf(r.pc)]) {
-                ++out->failures;
-                std::printf("  %s: FAIL mem kind at pc=0x%llx: dynamic "
-                            "%d != static %d\n",
-                            svc.traits().name.c_str(),
-                            static_cast<unsigned long long>(r.pc),
-                            static_cast<int>(k),
-                            static_cast<int>(
-                                proof.memKind[pi.flatOf(r.pc)]));
-            }
-        }
-        int dynTier = taint.identityDependent() ? 3
-            : taint.frameDependent() ? 2 : 1;
-        if (dynTier > proof.taintTierBound) {
-            ++out->failures;
-            std::printf("  %s: FAIL req %zu: dynamic tier %d > static "
-                        "bound %d\n", svc.traits().name.c_str(), i,
-                        dynTier, proof.taintTierBound);
-        }
-        ++out->requests;
-    }
-}
-
-/**
- * Lockstep half of the gate: run one (reconv, batching) combination
+ * One gate cell: run one (reconv, batching) combination
  * with the proof and a hint-joined profiler attached; any divergence at
  * an always-uniform branch, or at a per-batch-uniform branch inside an
  * (api, argLen)-uniform batch, is a soundness failure.
@@ -211,6 +151,7 @@ verifyUniformity(const svc::Service &svc,
     while (engine.next(op)) {
         // Drain; the engine checks hints at its divergence sites.
     }
+    out->batches += engine.stats().batches;
     out->divergeEvents += engine.stats().divergeEvents;
     const char *rc = reconv == simt::ReconvPolicy::StackIpdom
         ? "stack" : "minsp";
@@ -238,7 +179,6 @@ int
 runGate()
 {
     GateResult res;
-    const int kTaintRequests = 96;
     const int kBatchRequests = 256;
     const simt::ReconvPolicy reconvs[] = {
         simt::ReconvPolicy::StackIpdom, simt::ReconvPolicy::MinSpPc};
@@ -256,19 +196,16 @@ runGate()
                         name.c_str());
             continue;
         }
-        verifyTaint(*svc, *ca->proof, kTaintRequests, &res);
         for (auto reconv : reconvs)
             for (auto policy : policies)
                 verifyUniformity(*svc, *ca, reconv, policy,
                                  kBatchRequests, &res);
         ++services;
     }
-    std::printf("dataflow_soundness_gate: %s (%d services, %llu scalar "
-                "requests, %llu mem ops, %llu divergence events "
-                "checked)\n",
+    std::printf("dataflow_soundness_gate: %s (%d services, %llu "
+                "batches, %llu divergence events checked)\n",
                 res.failures == 0 ? "PASS" : "FAIL", services,
-                static_cast<unsigned long long>(res.requests),
-                static_cast<unsigned long long>(res.memOps),
+                static_cast<unsigned long long>(res.batches),
                 static_cast<unsigned long long>(res.divergeEvents));
     return res.failures == 0 ? 0 : 1;
 }

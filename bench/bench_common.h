@@ -52,9 +52,8 @@ constexpr double kGatePercentiles[] = {0.5, 0.9, 0.95, 0.99};
  * pinned percentiles), every counter, and all cache/TLB/BP/MCU stats.
  * CoreResult::skippedCycles / skipJumps are simulator-loop diagnostics,
  * not model output, and are deliberately excluded -- the event-driven
- * gate compares runs whose loops differ, and the trace-replay gate
- * compares runs whose front ends differ; neither may change what the
- * model reports.
+ * gate compares runs whose loops differ, which must not change what
+ * the model reports.
  */
 inline bool
 sameCoreResult(const core::CoreResult &a, const core::CoreResult &b)
@@ -102,27 +101,11 @@ sameCoreResult(const core::CoreResult &a, const core::CoreResult &b)
     return true;
 }
 
-/** Bit-identity over every lockstep SIMT statistic. */
-inline bool
-sameSimtStats(const simt::SimtStats &a, const simt::SimtStats &b)
-{
-    return a.batchOps == b.batchOps && a.scalarOps == b.scalarOps &&
-        a.maskedSlots == b.maskedSlots &&
-        a.divergeEvents == b.divergeEvents &&
-        a.reconvMerges == b.reconvMerges &&
-        a.pathSwitches == b.pathSwitches &&
-        a.spinEscapes == b.spinEscapes && a.batches == b.batches &&
-        a.width == b.width;
-}
-
 /**
  * Process-wide cache of scalar-CPU baseline runs, shared across benches
  * in one binary: a bench comparing the RPU and then SMT-8 against the
  * CPU pays for the 14 CPU cells once, not twice. Mutex-guarded so
- * benches stay correct when fanned out via runCells. (The functional
- * front end underneath additionally reuses request traces through
- * trace::TraceCache; this cache sits above it and memoizes the whole
- * TimingRun.)
+ * benches stay correct when fanned out via runCells.
  */
 class BaselineCache
 {

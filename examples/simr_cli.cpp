@@ -249,8 +249,8 @@ cmdAnalyze(const std::string &target, int argc, char **argv)
         names.push_back(target);
     }
 
-    Table dft("static dataflow: taint tier, uniformity, coalescibility");
-    dft.header({"service", "tier", "branches", "uniform", "per-batch",
+    Table dft("static dataflow: uniformity, coalescibility");
+    dft.header({"service", "branches", "uniform", "per-batch",
                 "may-div", "mems", "coalesced", "affine", "scattered"});
 
     int total_errors = 0;
@@ -265,8 +265,7 @@ cmdAnalyze(const std::string &target, int argc, char **argv)
             const auto &df = report.dataflow;
             using analysis::MemClass;
             using analysis::Uniformity;
-            dft.row({n, std::to_string(df.tierBound),
-                     std::to_string(df.branches.size()),
+            dft.row({n, std::to_string(df.branches.size()),
                      std::to_string(
                          df.countUniformity(Uniformity::UniformAlways)),
                      std::to_string(df.countUniformity(
@@ -572,11 +571,9 @@ cmdStats(const std::string &service, int argc, char **argv)
         runTiming(*svc, cfg, opt);
     }
 
-    // Trace-cache totals depend on cross-thread scheduling, so runCells
-    // never records them into its deterministic per-cell registries;
-    // snapshot them here, once, right before exposition. Same for the
-    // analysis cache.
-    recordTraceCacheStats();
+    // Analysis-cache totals depend on cross-thread scheduling, so
+    // runCells never records them into its deterministic per-cell
+    // registries; snapshot them here, once, right before exposition.
     recordAnalysisStats();
 
     if (has(argc, argv, "--json"))

@@ -4,7 +4,7 @@
 #include "analysis/dataflow.h"
 #include "common/config.h"
 #include "common/logging.h"
-#include "trace/capture.h"
+#include "analysis/proof.h"
 
 namespace simr::analysis
 {
@@ -16,8 +16,8 @@ analyzeAndProve(const isa::Program &prog)
     entry->report = analyze(prog);
     if (entry->report.ok()) {
         // A laid-out, structurally valid program: the fingerprint and
-        // the proof's flat tables are both well defined.
-        entry->fingerprint = trace::ProgramIndex(prog).fingerprint();
+        // the proof's flat table are both well defined.
+        entry->fingerprint = programFingerprint(prog);
         entry->proof = buildStaticProof(prog, entry->report.dataflow);
     }
     return entry;
@@ -26,7 +26,8 @@ analyzeAndProve(const isa::Program &prog)
 AnalysisCache *
 AnalysisCache::process()
 {
-    // Leaked singleton: see TraceCache::process() for the rationale.
+    // Leaked singleton: no destructor runs at exit, so there is no
+    // teardown-order hazard with worker threads still using it.
     static AnalysisCache *cache = []() -> AnalysisCache * {
         if (envInt("SIMR_ANALYSIS_CACHE", 1) == 0)
             return nullptr;
@@ -38,7 +39,7 @@ AnalysisCache::process()
 std::shared_ptr<const CachedAnalysis>
 AnalysisCache::get(const isa::Program &prog)
 {
-    uint64_t fp = trace::ProgramIndex(prog).fingerprint();
+    uint64_t fp = programFingerprint(prog);
     {
         std::lock_guard<std::mutex> lock(mu_);
         auto it = map_.find(fp);

@@ -2,7 +2,7 @@
  * @file
  * Process-wide analysis cache: one analyzer Report + StaticProof per
  * program content fingerprint. Runner entry points (measureEfficiency,
- * runFrontEnd, runTiming) and every cell of a sweep re-gate the same
+ * runTiming) and every cell of a sweep re-gate the same
  * service programs; the full analysis (CFG, dominators, two dataflow
  * fixpoints) is pure in the program content, so it is computed once and
  * shared. SIMR_ANALYSIS_CACHE=0 disables reuse process-wide (every
@@ -18,7 +18,7 @@
 
 #include "analysis/diag.h"
 #include "isa/program.h"
-#include "trace/proof.h"
+#include "analysis/proof.h"
 
 namespace simr::analysis
 {
@@ -26,9 +26,9 @@ namespace simr::analysis
 /** Everything the analyzer derives from one program, shareable. */
 struct CachedAnalysis
 {
-    uint64_t fingerprint = 0;  ///< trace::ProgramIndex content hash
+    uint64_t fingerprint = 0;  ///< programFingerprint() content hash
     Report report;
-    std::shared_ptr<const trace::StaticProof> proof;  ///< null unless ok
+    std::shared_ptr<const StaticProof> proof;  ///< null unless ok
 };
 
 /** Fingerprint-keyed store of analysis results. Thread-safe. */
@@ -37,7 +37,8 @@ class AnalysisCache
   public:
     /**
      * The process-wide cache, or nullptr when SIMR_ANALYSIS_CACHE=0.
-     * Leaked singleton, same lifetime contract as TraceCache::process().
+     * Leaked singleton: never destroyed, so worker threads still
+     * running at exit can use it safely.
      */
     static AnalysisCache *process();
 

@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "isa/builder.h"
-#include "trace/capture.h"
 
 namespace simr::analysis
 {
@@ -17,21 +16,22 @@ namespace
 {
 
 /**
- * Static mirror of trace::TaintTracker::Abs, extended with the two
- * things a meet-over-all-paths analysis needs that a single execution
- * does not:
+ * Abstract value of one register: the value is modeled as
+ * cs * stackTop + ch * heapBase + rest, with small exact integer base
+ * coefficients, plus three may-bits on the rest:
+ *
+ *  - id / fr: may depend on the lane's identity (reqId / tid) or on
+ *    frame placement (a base entering nonlinearly);
  *
  *  - csTop/chTop: a base coefficient joined from paths that disagree.
- *    The dynamic tracker always holds one exact coefficient; the static
- *    join must admit "any of several", and every consumer treats top as
- *    "may be nonzero" (which also forces the fr may-bit wherever the
- *    dynamic tracker *could* have clamped or poisoned).
+ *    Every consumer treats top as "may be nonzero" (which also forces
+ *    the fr may-bit wherever some path could have clamped or
+ *    poisoned a coefficient);
  *
- *  - ln: the value's non-base "rest" varies across the lanes of a batch
- *    through a channel the taint bits don't track — request key always,
- *    api/argLen unless the batch is (api, argLen)-uniform. Uniformity
- *    is a cross-lane property the dynamic (single-lane) tracker never
- *    needed; effective lane variance at a use is ln || id || fr.
+ *  - ln: the rest varies across the lanes of a batch through a channel
+ *    the id/fr bits don't track — request key always, api/argLen
+ *    unless the batch is (api, argLen)-uniform. Effective lane variance
+ *    at a use is ln || id || fr.
  */
 struct RegAbs
 {
@@ -79,10 +79,11 @@ struct FlowState
 };
 
 /**
- * Static mirror of TaintTracker::aluAbs. Exact inputs follow the
- * dynamic rules verbatim (including the clamp of runaway coefficients
- * to fr + zero); top inputs go to whatever over-approximates every
- * dynamic outcome the unknown coefficients could produce.
+ * ALU transfer. Linear ops (add/sub/mov) combine exact coefficients,
+ * clamping runaway ones (|c| > 3) to fr + zero; nonlinear ops drop the
+ * coefficients and poison fr when a base may enter them; top inputs go
+ * to whatever over-approximates every outcome the unknown
+ * coefficients could produce.
  */
 RegAbs
 aluAbs(const FlowState &s, const StaticInst &si)
@@ -182,12 +183,11 @@ struct InstVerdict
     bool evFrame = false;  ///< taint event: frame-dependent
     bool branchUniform = false;
     MemClass cls = MemClass::Scattered;
-    int8_t addrKind = -1;  ///< exact trace::AddrKind, -1 unknown
 };
 
 /**
- * Static mirror of TaintTracker::step plus the uniformity /
- * coalescibility verdicts. Mutates `s` in place; fills `v` when
+ * Per-instruction transfer plus the uniformity / coalescibility
+ * verdicts. Mutates `s` in place; fills `v` when
  * non-null (the fixpoint iteration passes null, the extraction walk
  * passes a sink).
  */
@@ -198,8 +198,8 @@ stepInst(FlowState &s, const StaticInst &si, bool divCtl, InstVerdict *v)
     // subset of the batch executes holds a lane-varying value after the
     // paths reconverge, even when every arm writes something uniform
     // (which arm ran is what varies). divCtl is true for blocks between
-    // a may-diverge branch and its reconvergence point; the ln bit is
-    // static-only, so this never perturbs the dynamic taint mirror.
+    // a may-diverge branch and its reconvergence point; only the ln bit
+    // is raised, so the id/fr taint facts are unaffected.
     auto write = [&s, divCtl](isa::RegId r, RegAbs val) {
         val.ln = val.ln || divCtl;
         if (r != isa::R_ZERO)
@@ -218,29 +218,16 @@ stepInst(FlowState &s, const StaticInst &si, bool divCtl, InstVerdict *v)
       case Op::Store:
       case Op::Atomic: {
         const RegAbs a = s.regs[si.src1];
-        // Mirror the dynamic kind derivation exactly: fr wins, then the
-        // three relocatable coefficient pairs, then mixed bases (which
-        // keep kind Invariant but raise the frame event).
-        bool frEvent = false;
-        int kind = 0;  // trace::AddrKind::Invariant
-        if (!a.exact()) {
-            frEvent = true;  // some path may have a poisoning pair
-        } else if (a.fr) {
-            frEvent = true;
-        } else if (a.cs == 0 && a.ch == 0) {
-            kind = 0;
-        } else if (a.cs == 1 && a.ch == 0) {
-            kind = 1;  // StackRel
-        } else if (a.cs == 0 && a.ch == 1) {
-            kind = 2;  // HeapRel
-        } else {
-            frEvent = true;  // mixed / scaled bases
-        }
+        // An address relocates cleanly when it is exact and either
+        // absolute or relative to exactly one base (stack or heap);
+        // unknown, poisoned, mixed or scaled bases raise the frame
+        // event. `based` marks the single-base (frame-relative) case.
+        const bool clean = a.exact() && !a.fr;
+        const bool based = clean &&
+            ((a.cs == 1 && a.ch == 0) || (a.cs == 0 && a.ch == 1));
         if (v != nullptr) {
             v->evId = a.id;
-            v->evFrame = frEvent;
-            v->addrKind = (a.exact() && !a.fr)
-                ? static_cast<int8_t>(kind) : static_cast<int8_t>(-1);
+            v->evFrame = !(based || (clean && a.cs == 0 && a.ch == 0));
             if (!a.exact() || a.laneVarying())
                 v->cls = MemClass::Scattered;
             else if (a.cs == 0 && a.ch == 0)
@@ -251,7 +238,7 @@ stepInst(FlowState &s, const StaticInst &si, bool divCtl, InstVerdict *v)
         if (si.op == Op::Load) {
             RegAbs d;
             d.id = a.id;
-            d.fr = !a.exact() || a.fr || kind != 0;
+            d.fr = !a.exact() || a.fr || based;
             // Load values are a pure function of the absolute address
             // (interp has no mutable memory: value = mix64(addr ^
             // dataSeed), dataSeed and the shared base uniform across a
@@ -265,7 +252,7 @@ stepInst(FlowState &s, const StaticInst &si, bool divCtl, InstVerdict *v)
         } else if (si.op == Op::Atomic) {
             RegAbs d;
             d.id = true;
-            d.fr = !a.exact() || a.fr || kind != 0;
+            d.fr = !a.exact() || a.fr || based;
             d.ln = a.ln;
             write(si.dst, d);
         }
@@ -307,7 +294,8 @@ stepInst(FlowState &s, const StaticInst &si, bool divCtl, InstVerdict *v)
 
 /**
  * The product lattice over the interprocedural supergraph. Boundary
- * seeds mirror TaintTracker::reset plus the lane-variance facts:
+ * seeds: the stack pointer and heap base are the two frame bases,
+ * tid / reqId carry the identity bit, and the lane-variance facts --
  * request key always differs per lane; api/argLen differ unless the
  * batch is (api, argLen)-uniform (the two solver runs).
  */
@@ -536,8 +524,6 @@ runDataflow(const isa::Program &prog, const Cfg &cfg, DataflowInfo *out)
     auto inBatch = solveUniformity(prog, g, /*apiArgUniform=*/true,
                                    &dcBatch);
 
-    bool mayId = false;
-    bool mayFrame = false;
     bool allPerBatch = true;
     uint32_t flat = 0;
     for (int b = 0; b < prog.numBlocks(); ++b) {
@@ -569,12 +555,8 @@ runDataflow(const isa::Program &prog, const Cfg &cfg, DataflowInfo *out)
                 f.mayId = reached && vs.evId;
                 f.mayFrame = reached && vs.evFrame;
                 out->branches.push_back(f);
-                if (reached) {
-                    mayId = mayId || vs.evId;
-                    mayFrame = mayFrame || vs.evFrame;
-                    if (f.uniformity == Uniformity::MayDiverge)
-                        allPerBatch = false;
-                }
+                if (reached && f.uniformity == Uniformity::MayDiverge)
+                    allPerBatch = false;
             } else if (isa::opInfo(si.op).isMem) {
                 MemFlow m;
                 m.func = func;
@@ -587,23 +569,15 @@ runDataflow(const isa::Program &prog, const Cfg &cfg, DataflowInfo *out)
                 // per-(api,argLen)-uniform run classifies it; the taint
                 // events come from the (boundary-independent) facts.
                 m.cls = reached ? vb.cls : MemClass::Uniform;
-                m.addrKind = reached ? vs.addrKind : static_cast<int8_t>(0);
                 m.mayId = reached && vs.evId;
                 m.mayFrame = reached && vs.evFrame;
                 out->mems.push_back(m);
-                if (reached) {
-                    mayId = mayId || vs.evId;
-                    mayFrame = mayFrame || vs.evFrame;
-                }
             }
             pc += isa::kInstBytes;
             ++flat;
         }
     }
 
-    out->mayIdDep = mayId;
-    out->mayFrameDep = mayFrame;
-    out->tierBound = mayId ? 3 : mayFrame ? 2 : 1;
     out->allUniformPerBatch = allPerBatch;
     out->ran = true;
 
@@ -614,21 +588,13 @@ runDataflow(const isa::Program &prog, const Cfg &cfg, DataflowInfo *out)
     std::sort(out->mems.begin(), out->mems.end(), byFuncPc);
 }
 
-std::shared_ptr<const trace::StaticProof>
+std::shared_ptr<const StaticProof>
 buildStaticProof(const isa::Program &prog, const DataflowInfo &df)
 {
-    auto proof = std::make_shared<trace::StaticProof>();
-    proof->fingerprint = trace::ProgramIndex(prog).fingerprint();
-    proof->taintTierBound = df.tierBound;
-    proof->mayIdDep = df.mayIdDep;
-    proof->mayFrameDep = df.mayFrameDep;
-    proof->allUniformPerBatch = df.allUniformPerBatch;
-    proof->memKind.assign(prog.staticInstCount(),
-                          trace::StaticProof::kNotMem);
+    auto proof = std::make_shared<StaticProof>();
+    proof->fingerprint = programFingerprint(prog);
+    proof->codeBase = prog.codeBase();
     proof->branchHint.assign(prog.staticInstCount(), 0);
-    for (const MemFlow &m : df.mems)
-        proof->memKind[m.flat] = m.addrKind >= 0
-            ? static_cast<uint8_t>(m.addrKind) : 0;
     for (const BranchFlow &b : df.branches)
         proof->branchHint[b.flat] = static_cast<uint8_t>(b.uniformity);
     return proof;

@@ -1,16 +1,14 @@
 /**
  * @file
  * Lattice-parameterized worklist dataflow engine plus the three client
- * analyses that make divergence and relocation *structural* facts of a
+ * analyses that make divergence and coalescing *structural* facts of a
  * µISA program instead of observations about one execution:
  *
- *  1. static taint: mirrors the dynamic trace::TaintTracker lattice
- *     (linear stack/heap base coefficients + identity/frame may-bits)
- *     over the joined states of *all* paths, yielding a per-program
- *     trace-cache tier bound. Soundness invariant: the dynamic tier of
- *     any captured request is <= the static bound, and a bound of 1
- *     additionally fixes every memory op's relocation kind exactly —
- *     which is what lets capture skip the per-op dynamic taint walk.
+ *  1. static taint: an abstract value per register -- linear
+ *     stack/heap base coefficients plus identity (reqId / tid) and
+ *     frame-placement may-bits -- joined over *all* paths. It is the
+ *     substrate of the other two: a value that may depend on a lane's
+ *     identity or frame differs across the lanes of a batch.
  *
  *  2. branch uniformity: classifies every conditional branch as
  *     provably uniform (always / per-(api,argLen)-batch) or
@@ -43,7 +41,7 @@
 #include "analysis/cfg.h"
 #include "analysis/diag.h"
 #include "isa/program.h"
-#include "trace/proof.h"
+#include "analysis/proof.h"
 
 namespace simr::analysis
 {
@@ -139,10 +137,10 @@ void runDataflow(const isa::Program &prog, const Cfg &cfg,
                  DataflowInfo *out);
 
 /**
- * Package a DataflowInfo into the trace-layer proof artifact (flat
- * per-instruction memKind / branchHint tables plus the tier bound).
+ * Package a DataflowInfo into the lockstep engine's proof artifact
+ * (the flat per-instruction branchHint table).
  */
-std::shared_ptr<const trace::StaticProof>
+std::shared_ptr<const StaticProof>
 buildStaticProof(const isa::Program &prog, const DataflowInfo &df);
 
 } // namespace simr::analysis

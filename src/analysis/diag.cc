@@ -190,12 +190,9 @@ Report::json() const
     out += branches.empty() ? "]," : "\n  ],";
     out += "\n  \"dataflow\": {\n";
     std::snprintf(buf, sizeof(buf),
-                  "    \"ran\": %s,\n    \"tier_bound\": %d,\n"
-                  "    \"may_id_dep\": %s,\n    \"may_frame_dep\": %s,\n"
+                  "    \"ran\": %s,\n"
                   "    \"all_uniform_per_batch\": %s,\n",
-                  dataflow.ran ? "true" : "false", dataflow.tierBound,
-                  dataflow.mayIdDep ? "true" : "false",
-                  dataflow.mayFrameDep ? "true" : "false",
+                  dataflow.ran ? "true" : "false",
                   dataflow.allUniformPerBatch ? "true" : "false");
     out += buf;
     out += "    \"branches\": [";
@@ -218,10 +215,10 @@ Report::json() const
         std::snprintf(buf, sizeof(buf),
                       "%s\n      {\"func\": %d, \"block\": %d, "
                       "\"pc\": %" PRIu64 ", \"op\": \"%s\", "
-                      "\"class\": \"%s\", \"addr_kind\": %d, "
+                      "\"class\": \"%s\", "
                       "\"may_id\": %s, \"may_frame\": %s}",
                       i ? "," : "", m.func, m.block, m.pc,
-                      isa::opName(m.op), memClassName(m.cls), m.addrKind,
+                      isa::opName(m.op), memClassName(m.cls),
                       m.mayId ? "true" : "false",
                       m.mayFrame ? "true" : "false");
         out += buf;

@@ -52,8 +52,8 @@ const char *codeName(Code c);
 const char *severityName(Severity s);
 
 /**
- * Static branch-uniformity verdict (the analysis-side mirror of
- * trace::BranchHint; kept separate so diag.h stays dependency-free).
+ * Static branch-uniformity verdict (also the per-branch hint the
+ * lockstep engine checks, analysis/proof.h).
  */
 enum class Uniformity : uint8_t {
     MayDiverge = 0,       ///< no uniformity proof
@@ -129,23 +129,19 @@ struct MemFlow
     uint32_t flat = 0;
     isa::Op op = isa::Op::Load;
     MemClass cls = MemClass::Scattered;
-    int8_t addrKind = -1;  ///< exact trace::AddrKind value, -1 unknown
     bool mayId = false;    ///< address may depend on reqId / tid
     bool mayFrame = false; ///< address may depend on frame placement
     bool reached = true;
 };
 
 /**
- * Whole-program static dataflow results: the taint tier bound, every
- * branch's uniformity class and every memory op's access class. Sorted
- * by (func, pc) — deterministic rendering order.
+ * Whole-program static dataflow results: every branch's uniformity
+ * class and every memory op's access class. Sorted by (func, pc) —
+ * deterministic rendering order.
  */
 struct DataflowInfo
 {
     bool ran = false;        ///< pass executed (program was analyzable)
-    int tierBound = 3;       ///< static trace-cache tier bound (1..3)
-    bool mayIdDep = true;
-    bool mayFrameDep = true;
     bool allUniformPerBatch = false;
     std::vector<BranchFlow> branches;
     std::vector<MemFlow> mems;

@@ -71,12 +71,6 @@ struct TimingRun
     energy::EnergyBreakdown energy;
     /** Lockstep SIMT stats summed across engines (batch configs only). */
     simt::SimtStats simt;
-    /**
-     * Trace-cache accounting summed across this run's lanes/streams.
-     * Unlike everything above it depends on what earlier runs left in
-     * the process-wide cache, so it is reported, never gated on.
-     */
-    trace::ReuseStats reuse;
 
     double reqPerJoule() const
     {
@@ -96,18 +90,6 @@ struct TimingOptions
     int batchOverride = 0;
     bool useTunedBatch = true;
     /**
-     * Replay from (and capture into) the process-wide trace caches, at
-     * both levels: requests from trace::TraceCache, and whole per-unit
-     * DynOp streams from simr::StreamCache when an identical cell
-     * already ran. Replay is bit-identical to live execution (gated by
-     * trace_replay_gate), so this only changes wall-clock time; set
-     * false to force live interpretation. Ignored when caching is
-     * disabled process-wide via SIMR_TRACE_CACHE=0. Runs with
-     * observerFor bypass the stream level automatically (observers
-     * must see live lockstep events).
-     */
-    bool useTraceCache = true;
-    /**
      * Optional per-engine lockstep observer factory (batch configs
      * only). Called once per engine index before execution; returned
      * pointers must outlive the runTiming call. nullptr results are
@@ -124,35 +106,6 @@ struct TimingOptions
  */
 TimingRun runTiming(const svc::Service &svc, const core::CoreConfig &cfg,
                     const TimingOptions &opt);
-
-/**
- * Result of a front-end-only run: the cell's DynOp streams drained
- * with no timing core behind them.
- */
-struct FrontEndRun
-{
-    /** Lockstep SIMT stats summed across engines (batch configs only). */
-    simt::SimtStats simt;
-    /** Request- and stream-level trace reuse (reported, never gated). */
-    trace::ReuseStats reuse;
-    uint64_t dynOps = 0;     ///< DynOps produced across all streams
-    uint64_t requests = 0;   ///< requests completed across all streams
-};
-
-/**
- * Run only the front end of a cell -- request generation, batching,
- * lockstep/scalar execution -- and drain the resulting DynOp streams,
- * with the same trace-cache behaviour as runTiming (identical stream
- * keys, so the two share captures). This is the functional half of
- * the simulator: SIMT-efficiency studies, batching-policy sweeps and
- * trace characterization all reduce to it, and it is what the trace
- * cache accelerates end to end. Records no core/simt run metrics (it
- * is a functional probe); the batching layer's batch.* metrics record
- * exactly as in a timing run, warm or cold.
- */
-FrontEndRun runFrontEnd(const svc::Service &svc,
-                        const core::CoreConfig &cfg,
-                        const TimingOptions &opt);
 
 /**
  * One experiment cell of a sweep: a service under a core configuration
@@ -191,25 +144,13 @@ std::vector<TimingRun> runCells(const std::vector<Cell> &cells,
                                 int threads = 0);
 
 /**
- * Snapshot the process-wide trace-cache statistics into a registry:
- * trace.cache_hits / trace.cache_misses / trace.dedup_requests counters
- * and the trace.bytes_resident / trace.entries / trace.evictions gauges
- * for the request-level cache, plus trace.stream_hits /
- * trace.stream_misses and trace.stream_* gauges for the stream-level
- * cache. Callers (simr_cli stats) invoke this once,
- * right before exposition; runCells deliberately does not -- cache
- * hit/miss totals depend on cross-thread scheduling, and the per-cell
- * registries it merges must stay bit-identical at any thread count.
- * No-op when the cache is disabled (SIMR_TRACE_CACHE=0).
- */
-void recordTraceCacheStats();
-
-/**
  * Fold the process-wide analysis cache totals into the current scoped
  * registry: analysis.cache_hits / analysis.cache_misses counters and
- * the analysis.cache_entries gauge. Same exposition contract as
- * recordTraceCacheStats (call once before exposition; never from
- * runCells). No-op when the cache is disabled (SIMR_ANALYSIS_CACHE=0).
+ * the analysis.cache_entries gauge. Callers (simr_cli stats) invoke
+ * this once, right before exposition; runCells deliberately does not --
+ * hit/miss totals depend on cross-thread scheduling, and the per-cell
+ * registries it merges must stay bit-identical at any thread count.
+ * No-op when the cache is disabled (SIMR_ANALYSIS_CACHE=0).
  */
 void recordAnalysisStats();
 

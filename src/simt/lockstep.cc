@@ -58,17 +58,16 @@ LockstepObserver::onBatchEnd(uint64_t, uint64_t)
 LockstepEngine::LockstepEngine(const isa::Program &prog,
                                ReconvPolicy policy, int width,
                                BatchProvider provider,
-                               SpinEscapeConfig spin,
-                               trace::TraceCache *cache)
+                               SpinEscapeConfig spin)
     : prog_(prog), policy_(policy), width_(width),
-      provider_(std::move(provider)), spin_(spin), pi_(prog)
+      provider_(std::move(provider)), spin_(spin)
 {
     simr_assert(width_ >= 1 && width_ <= trace::kMaxBatch,
                 "batch width out of range");
     stats_.width = width_;
     lanes_.reserve(static_cast<size_t>(width_));
     for (int i = 0; i < width_; ++i)
-        lanes_.push_back(std::make_unique<trace::LaneExec>(pi_, cache));
+        lanes_.emplace_back(prog_);
     inits_.reserve(static_cast<size_t>(width_));
     stagnation_.assign(static_cast<size_t>(width_), 0);
     lastPos_.assign(static_cast<size_t>(width_), 0);
@@ -78,13 +77,11 @@ LockstepEngine::~LockstepEngine() = default;
 
 void
 LockstepEngine::setStaticProof(
-    std::shared_ptr<const trace::StaticProof> proof)
+    std::shared_ptr<const analysis::StaticProof> proof)
 {
     proof_ = std::move(proof);
     proofApplies_ = proof_ != nullptr &&
-        proof_->fingerprint == pi_.fingerprint();
-    for (auto &l : lanes_)
-        l->setStaticProof(proofApplies_ ? proof_ : nullptr);
+        proof_->fingerprint == analysis::programFingerprint(prog_);
 }
 
 void
@@ -92,9 +89,9 @@ LockstepEngine::noteDivergence(isa::Pc pc)
 {
     if (!proofApplies_)
         return;
-    trace::BranchHint h = proof_->hintAt(pi_.flatOf(pc));
-    if (h == trace::BranchHint::UniformAlways ||
-        (h == trace::BranchHint::UniformPerBatch && batchApiArgUniform_))
+    const analysis::Uniformity h = proof_->hintAt(pc);
+    if (h == analysis::Uniformity::UniformAlways ||
+        (h == analysis::Uniformity::UniformPerBatch && batchApiArgUniform_))
         ++stats_.hintViolations;
 }
 
@@ -120,8 +117,8 @@ LockstepEngine::launchNext()
     liveMask_ = 0;
     batchSize_ = n;
     for (int i = 0; i < n; ++i) {
-        lanes_[static_cast<size_t>(i)]->reset(inits_[static_cast<size_t>(i)]);
-        if (!lanes_[static_cast<size_t>(i)]->done())
+        lanes_[static_cast<size_t>(i)].reset(inits_[static_cast<size_t>(i)]);
+        if (!lanes_[static_cast<size_t>(i)].done())
             liveMask_ |= (1u << i);
     }
     if (liveMask_ == 0)
@@ -136,7 +133,7 @@ LockstepEngine::launchNext()
     stack_.clear();
     // All live lanes start at main's entry.
     int first = __builtin_ctz(liveMask_);
-    const auto &t0 = *lanes_[static_cast<size_t>(first)];
+    const auto &t0 = lanes_[static_cast<size_t>(first)];
     stack_.push_back({t0.curBlock(), t0.curIdx(), t0.callDepth(), -1,
                       liveMask_});
 
@@ -149,54 +146,6 @@ LockstepEngine::launchNext()
     boostLane_ = -1;
     boostLeft_ = 0;
     prevActive_ = 0;
-
-    // Lane-major superop eligibility: a fully-live batch whose lanes all
-    // replay shape-equal compiled traces can never diverge (the shape
-    // fingerprint covers the op sequence, branch outcomes and dependence
-    // columns), so the whole batch is handed to the batch kernel and the
-    // per-op grouping below it is skipped.
-    kernelBatch_ = false;
-    if (trace::compileEnabled()) {
-        const Mask full = batchSize_ == trace::kMaxBatch ?
-            ~Mask{0} : ((Mask{1} << batchSize_) - 1);
-        // Static relaxation: in an (api, argLen)-uniform batch of a
-        // program whose every branch is proven at least per-batch
-        // uniform, shape-equal traces are implied (same control path,
-        // same taken bits), so only the op counts are compared.
-        const bool hinted = proofApplies_ && proof_->allUniformPerBatch &&
-            batchApiArgUniform_;
-        if (liveMask_ == full) {
-            const trace::CompiledTrace *rep = nullptr;
-            bool ok = true;
-            bool compared = false;
-            trace::TraceBatchKernel::LaneSrc srcs[trace::kMaxBatch];
-            for (int i = 0; i < batchSize_; ++i) {
-                const auto &l = *lanes_[static_cast<size_t>(i)];
-                if (!l.compiledReplaying()) {
-                    ok = false;
-                    break;
-                }
-                const trace::CompiledTrace *k = l.compiledCursor().kernel();
-                if (rep == nullptr) {
-                    rep = k;
-                } else if (k != rep) {
-                    compared = true;
-                    if (k->opCount() != rep->opCount() ||
-                        (!hinted && k->shapeFingerprint() !=
-                             rep->shapeFingerprint()))
-                        ok = false;
-                }
-                srcs[i] = {l.compiledCursor().addrCol(),
-                           l.compiledCursor().shifts()};
-            }
-            if (ok && rep != nullptr && rep->opCount() > 0) {
-                bkernel_.start(rep, srcs, batchSize_, pi_);
-                kernelBatch_ = true;
-                if (hinted && compared)
-                    ++stats_.hintedKernelBatches;
-            }
-        }
-    }
     return true;
 }
 
@@ -220,7 +169,7 @@ LockstepEngine::execGroup(Mask mask, DynOp &op)
     for (int lane = 0; lane < batchSize_; ++lane) {
         if (!(mask & (1u << lane)))
             continue;
-        trace::LaneExec &t = *lanes_[static_cast<size_t>(lane)];
+        trace::ThreadState &t = lanes_[static_cast<size_t>(lane)];
         trace::StepResult r;
         t.step(r);
         if (!op.si) {
@@ -286,34 +235,6 @@ LockstepEngine::next(DynOp &op)
         if (!launchNext())
             return false;
         fresh = true;
-    }
-    if (kernelBatch_) {
-        // Uniform batch on the superop fast path: the kernel emits the
-        // op; the engine keeps its usual duties (stats, observer, lane
-        // retirement) in the exact order execGroup performs them.
-        bkernel_.step(op);
-        ++stats_.batchOps;
-        stats_.scalarOps += static_cast<uint64_t>(batchSize_);
-        stats_.maskedSlots += static_cast<uint64_t>(width_ - batchSize_);
-        if (obs_)
-            obs_->onOp(op, width_, stats_.batchOps);
-        if (bkernel_.done()) {
-            bkernel_.finish();
-            for (int i = 0; i < batchSize_; ++i)
-                lanes_[static_cast<size_t>(i)]->finishBatchReplay();
-            completed_ += static_cast<uint64_t>(batchSize_);
-            liveMask_ = 0;
-            if (obs_)
-                for (int i = 0; i < batchSize_; ++i)
-                    obs_->onLaneRetire(i, stats_.batchOps);
-        }
-        op.batchStart = fresh;
-        if (liveMask_ == 0) {
-            batchActive_ = false;
-            if (obs_)
-                obs_->onBatchEnd(stats_.batches - 1, stats_.batchOps);
-        }
-        return true;
     }
     bool produced = policy_ == ReconvPolicy::StackIpdom ?
         stepStack(op) : stepMinSp(op);
@@ -393,7 +314,7 @@ LockstepEngine::stepStack(DynOp &op)
     for (int lane = 0; lane < batchSize_; ++lane) {
         if (!(survivors & (1u << lane)))
             continue;
-        const trace::LaneExec &t = *lanes_[static_cast<size_t>(lane)];
+        const trace::ThreadState &t = lanes_[static_cast<size_t>(lane)];
         uint64_t key = posKey(t.callDepth(), t.curBlock(), t.curIdx());
         bool found = false;
         for (int g = 0; g < ngroups; ++g) {
@@ -505,7 +426,7 @@ LockstepEngine::stepMinSp(DynOp &op)
         for (int lane = 0; lane < batchSize_; ++lane) {
             if (!(liveMask_ & (1u << lane)))
                 continue;
-            const auto &t = *lanes_[static_cast<size_t>(lane)];
+            const auto &t = lanes_[static_cast<size_t>(lane)];
             int d = t.callDepth();
             isa::Pc pc = t.curPc();
             if (pick < 0 || d > best_depth ||
@@ -519,13 +440,13 @@ LockstepEngine::stepMinSp(DynOp &op)
     simr_assert(pick >= 0, "no lane selected");
 
     // Active set: lanes parked at exactly the picked position.
-    const auto &tp = *lanes_[static_cast<size_t>(pick)];
+    const auto &tp = lanes_[static_cast<size_t>(pick)];
     uint64_t key = posKey(tp.callDepth(), tp.curBlock(), tp.curIdx());
     Mask active = 0;
     for (int lane = 0; lane < batchSize_; ++lane) {
         if (!(liveMask_ & (1u << lane)))
             continue;
-        const auto &t = *lanes_[static_cast<size_t>(lane)];
+        const auto &t = lanes_[static_cast<size_t>(lane)];
         if (posKey(t.callDepth(), t.curBlock(), t.curIdx()) == key)
             active |= (1u << lane);
     }
@@ -573,7 +494,7 @@ LockstepEngine::stepMinSp(DynOp &op)
                 if (obs_)
                     obs_->onSpinEscape(
                         lane,
-                        lanes_[static_cast<size_t>(lane)]->curPc(),
+                        lanes_[static_cast<size_t>(lane)].curPc(),
                         stats_.batchOps);
             }
         }

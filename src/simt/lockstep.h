@@ -29,9 +29,9 @@
 #include <memory>
 #include <vector>
 
+#include "analysis/proof.h"
 #include "trace/dynop.h"
 #include "trace/interp.h"
-#include "trace/replay.h"
 #include "trace/stream.h"
 
 namespace simr::simt
@@ -66,15 +66,6 @@ struct SimtStats
     uint64_t batches = 0;
 
     /**
-     * Batches handed to the batch kernel because a static uniformity
-     * proof relaxed the eligibility check (shape fingerprints not
-     * compared). Depends on cache temperature, so it is exposition
-     * only: deliberately excluded from registry recording and from
-     * determinism comparisons.
-     */
-    uint64_t hintedKernelBatches = 0;
-
-    /**
      * Observed divergence at a branch the static proof classified
      * uniform (always, or per-batch within an (api, argLen)-uniform
      * batch). A live soundness tripwire: always 0 unless the dataflow
@@ -107,7 +98,6 @@ struct SimtStats
         reconvMerges += o.reconvMerges;
         pathSwitches += o.pathSwitches;
         spinEscapes += o.spinEscapes;
-        hintedKernelBatches += o.hintedKernelBatches;
         hintViolations += o.hintViolations;
         batches += o.batches;
         if (batches == o.batches)
@@ -165,30 +155,15 @@ class LockstepEngine : public trace::DynStream
     using BatchProvider =
         std::function<int(std::vector<trace::ThreadInit> &)>;
 
-    /**
-     * @param cache trace cache the lanes replay from / capture into;
-     *        nullptr interprets every request live.
-     */
     LockstepEngine(const isa::Program &prog, ReconvPolicy policy,
                    int width, BatchProvider provider,
-                   SpinEscapeConfig spin = SpinEscapeConfig(),
-                   trace::TraceCache *cache = nullptr);
+                   SpinEscapeConfig spin = SpinEscapeConfig());
     ~LockstepEngine() override;
 
     bool next(trace::DynOp &op) override;
     uint64_t requestsCompleted() const override { return completed_; }
 
     const SimtStats &stats() const { return stats_; }
-
-    /** Trace-reuse accounting summed over this engine's lanes. */
-    trace::ReuseStats
-    reuseStats() const
-    {
-        trace::ReuseStats s;
-        for (const auto &l : lanes_)
-            s += l->reuseStats();
-        return s;
-    }
 
     /** True between batches (the last produced op finished a batch). */
     bool atBatchBoundary() const { return !batchActive_; }
@@ -202,12 +177,10 @@ class LockstepEngine : public trace::DynStream
 
     /**
      * Attach the program's static dataflow proof (nullptr detaches).
-     * Enables capture's tier-1 fast path on every lane, relaxes
-     * batch-kernel eligibility for (api, argLen)-uniform batches when
-     * every branch is proven at least per-batch-uniform, and arms the
-     * hint-violation tripwire at the divergence sites.
+     * Arms the hint-violation tripwire at the divergence sites; a
+     * proof derived from a different program is ignored.
      */
-    void setStaticProof(std::shared_ptr<const trace::StaticProof> proof);
+    void setStaticProof(std::shared_ptr<const analysis::StaticProof> proof);
 
   private:
     struct StackEntry
@@ -237,12 +210,11 @@ class LockstepEngine : public trace::DynStream
 
     LockstepObserver *obs_ = nullptr;
 
-    std::shared_ptr<const trace::StaticProof> proof_;
+    std::shared_ptr<const analysis::StaticProof> proof_;
     bool proofApplies_ = false;         ///< proof matches this program
     bool batchApiArgUniform_ = false;   ///< current batch shares (api, argLen)
 
-    trace::ProgramIndex pi_;
-    std::vector<std::unique_ptr<trace::LaneExec>> lanes_;
+    std::vector<trace::ThreadState> lanes_;
     std::vector<trace::ThreadInit> inits_;  ///< reused across launches
     trace::Mask liveMask_ = 0;
     int batchSize_ = 0;
@@ -252,13 +224,6 @@ class LockstepEngine : public trace::DynStream
 
     // Stack-IPDOM state.
     std::vector<StackEntry> stack_;
-
-    // Lane-major superop replay: when every lane of a fresh batch
-    // replays a shape-equal compiled trace, the batch can never
-    // diverge, so the whole grouping/divergence machinery below is
-    // bypassed and the batch kernel emits the ops directly.
-    trace::TraceBatchKernel bkernel_;
-    bool kernelBatch_ = false;
 
     // Batch-op-space dependence tracking: producer indices per register
     // (the per-thread distances from the interpreter do not survive the

@@ -88,10 +88,9 @@ struct DynOp
 };
 
 /**
- * Pull interface for dynamic instruction streams. Lives next to DynOp
- * (rather than in stream.h with ScalarStream) so that producers which
- * must not depend on the interpreter -- the stream-replay classes in
- * replay.h -- can implement it without an include cycle.
+ * Pull interface for dynamic instruction streams: the scalar stream
+ * (stream.h), the lockstep engine (simt/lockstep.h) and the analysis
+ * cross-checker implement it; the timing cores consume it.
  */
 class DynStream
 {

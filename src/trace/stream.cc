@@ -4,8 +4,8 @@ namespace simr::trace
 {
 
 ScalarStream::ScalarStream(const isa::Program &prog,
-                           RequestProvider provider, TraceCache *cache)
-    : pi_(prog), lane_(pi_, cache), provider_(std::move(provider))
+                           RequestProvider provider)
+    : lane_(prog), provider_(std::move(provider))
 {
 }
 

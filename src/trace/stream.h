@@ -12,18 +12,15 @@
 #define SIMR_TRACE_STREAM_H
 
 #include <functional>
-#include <memory>
 
 #include "trace/dynop.h"
 #include "trace/interp.h"
-#include "trace/replay.h"
 
 namespace simr::trace
 {
 
-// DynStream (the pull interface ScalarStream implements) lives in
-// dynop.h, next to DynOp, so the replay-backed streams can implement
-// it too without an include cycle.
+// DynStream, the pull interface ScalarStream implements, lives in
+// dynop.h next to DynOp.
 
 /**
  * Supplies the initial context of the next request a hardware thread
@@ -38,28 +35,13 @@ using RequestProvider = std::function<bool(ThreadInit &)>;
 class ScalarStream : public DynStream
 {
   public:
-    /**
-     * @param cache trace cache to replay from / capture into; nullptr
-     *        runs every request through the live interpreter.
-     */
-    ScalarStream(const isa::Program &prog, RequestProvider provider,
-                 TraceCache *cache = nullptr);
+    ScalarStream(const isa::Program &prog, RequestProvider provider);
 
     bool next(DynOp &op) override;
     uint64_t requestsCompleted() const override { return completed_; }
 
-    /** Static proof for capture's tier-1 fast path (may be null). */
-    void setStaticProof(std::shared_ptr<const StaticProof> proof)
-    {
-        lane_.setStaticProof(std::move(proof));
-    }
-
-    /** Trace-reuse accounting for this stream's requests. */
-    const ReuseStats &reuseStats() const { return lane_.reuseStats(); }
-
   private:
-    ProgramIndex pi_;
-    LaneExec lane_;
+    ThreadState lane_;
     RequestProvider provider_;
     ThreadInit init_;        ///< reused across requests (no realloc)
     bool haveRequest_ = false;

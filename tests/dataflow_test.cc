@@ -4,9 +4,9 @@
  * (forward and backward), the three client analyses on adversarial
  * builder programs (identity-dependent branch, frame-escaping pointer,
  * scattered gather, control-dependent loop bound), the StaticProof
- * packaging, the fingerprint-keyed analysis cache, the capture fast
- * path's bit-identity, and the deterministic (func, pc)-sorted JSON
- * rendering the CLI golden output relies on.
+ * packaging, the fingerprint-keyed analysis cache, and the
+ * deterministic (func, pc)-sorted JSON rendering the CLI golden output
+ * relies on.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +18,9 @@
 #include "analysis/cache.h"
 #include "analysis/cfg.h"
 #include "analysis/dataflow.h"
+#include "analysis/proof.h"
 #include "isa/builder.h"
-#include "mem/allocator.h"
 #include "services/service.h"
-#include "simr/runner.h"
-#include "trace/capture.h"
-#include "trace/interp.h"
 
 namespace simr
 {
@@ -139,8 +136,6 @@ TEST(DataflowClients, IdentityDependentBranchIsTierThreeMayDiverge)
     Report r = analyzeBuilt(b);
 
     const DataflowInfo &df = r.dataflow;
-    EXPECT_EQ(df.tierBound, 3);
-    EXPECT_TRUE(df.mayIdDep);
     EXPECT_FALSE(df.allUniformPerBatch);
     ASSERT_EQ(df.branches.size(), 1u);
     EXPECT_EQ(df.branches[0].uniformity, Uniformity::MayDiverge);
@@ -151,7 +146,7 @@ TEST(DataflowClients, FrameEscapingPointerIsTierTwoScattered)
 {
     // Hashing the stack pointer destroys the linear-coefficient
     // tracking: the address depends nonlinearly on frame placement, so
-    // no relocation kind exists and the access is scattered.
+    // it differs per lane and the access is scattered.
     isa::ProgramBuilder b("adv-frame-escape");
     b.beginFunction("main");
     b.hash(isa::R_T0, isa::R_SP);
@@ -161,12 +156,9 @@ TEST(DataflowClients, FrameEscapingPointerIsTierTwoScattered)
     Report r = analyzeBuilt(b);
 
     const DataflowInfo &df = r.dataflow;
-    EXPECT_EQ(df.tierBound, 2);
-    EXPECT_FALSE(df.mayIdDep);
-    EXPECT_TRUE(df.mayFrameDep);
     ASSERT_EQ(df.mems.size(), 1u);
     EXPECT_EQ(df.mems[0].cls, MemClass::Scattered);
-    EXPECT_EQ(df.mems[0].addrKind, -1);       // no exact kind exists
+    EXPECT_FALSE(df.mems[0].mayId);
     EXPECT_TRUE(df.mems[0].mayFrame);
 }
 
@@ -174,8 +166,7 @@ TEST(DataflowClients, ScatteredGatherStaysTierOne)
 {
     // A key-indexed gather off the private heap: per-lane addressing
     // (scattered within a batch) but still exactly heap-relative on
-    // every path, so the taint tier bound stays 1 and the capture fast
-    // path remains admissible.
+    // every path, so it carries no identity or frame taint.
     isa::ProgramBuilder b("adv-gather");
     b.beginFunction("main");
     b.alu(AluKind::AndImm, isa::R_T0, isa::R_KEY, isa::R_ZERO, 0xff8);
@@ -186,12 +177,8 @@ TEST(DataflowClients, ScatteredGatherStaysTierOne)
     Report r = analyzeBuilt(b);
 
     const DataflowInfo &df = r.dataflow;
-    EXPECT_EQ(df.tierBound, 1);
-    EXPECT_FALSE(df.mayIdDep);
-    EXPECT_FALSE(df.mayFrameDep);
     ASSERT_EQ(df.mems.size(), 1u);
     EXPECT_EQ(df.mems[0].cls, MemClass::Scattered);
-    EXPECT_EQ(df.mems[0].addrKind, 2);        // trace::AddrKind::HeapRel
     EXPECT_FALSE(df.mems[0].mayId);
     EXPECT_FALSE(df.mems[0].mayFrame);
 }
@@ -211,13 +198,13 @@ TEST(DataflowClients, UniformSharedLoadAndImmLoopAreUniform)
     Report r = analyzeBuilt(b);
 
     const DataflowInfo &df = r.dataflow;
-    EXPECT_EQ(df.tierBound, 1);
     EXPECT_TRUE(df.allUniformPerBatch);
     ASSERT_EQ(df.branches.size(), 1u);
     EXPECT_EQ(df.branches[0].uniformity, Uniformity::UniformAlways);
     ASSERT_EQ(df.mems.size(), 1u);
     EXPECT_EQ(df.mems[0].cls, MemClass::Uniform);
-    EXPECT_EQ(df.mems[0].addrKind, 0);        // trace::AddrKind::Invariant
+    EXPECT_FALSE(df.mems[0].mayId);
+    EXPECT_FALSE(df.mems[0].mayFrame);
 }
 
 TEST(DataflowClients, ArgLenBranchIsUniformPerBatchOnly)
@@ -230,7 +217,6 @@ TEST(DataflowClients, ArgLenBranchIsUniformPerBatchOnly)
     Report r = analyzeBuilt(b);
 
     const DataflowInfo &df = r.dataflow;
-    EXPECT_EQ(df.tierBound, 1);               // argLen is not identity/frame
     EXPECT_TRUE(df.allUniformPerBatch);
     ASSERT_EQ(df.branches.size(), 1u);
     EXPECT_EQ(df.branches[0].uniformity, Uniformity::UniformPerBatch);
@@ -242,7 +228,8 @@ TEST(DataflowClients, LoadedValueFromVaryingAddressIsLaneVarying)
     // has no mutable memory (a load returns mix64(addr ^ dataSeed)), so
     // a lane-varying *address* makes the loaded *value* lane-varying
     // even though the address is exactly absolute. A branch on that
-    // value must be may-diverge — while the taint tier stays 1.
+    // value must be may-diverge — though it carries no identity or
+    // frame taint.
     isa::ProgramBuilder b("adv-loaded-value");
     b.beginFunction("main");
     b.alu(AluKind::AndImm, isa::R_T0, isa::R_KEY, isa::R_ZERO, 0xff8);
@@ -254,7 +241,6 @@ TEST(DataflowClients, LoadedValueFromVaryingAddressIsLaneVarying)
     Report r = analyzeBuilt(b);
 
     const DataflowInfo &df = r.dataflow;
-    EXPECT_EQ(df.tierBound, 1);
     ASSERT_EQ(df.branches.size(), 1u);
     EXPECT_EQ(df.branches[0].uniformity, Uniformity::MayDiverge);
     EXPECT_FALSE(df.branches[0].mayId);
@@ -280,7 +266,6 @@ TEST(DataflowClients, ControlDependentLoopBoundMayDiverge)
     Report r = analyzeBuilt(b);
 
     const DataflowInfo &df = r.dataflow;
-    EXPECT_EQ(df.tierBound, 1);               // key is neither id nor frame
     EXPECT_FALSE(df.allUniformPerBatch);
     ASSERT_EQ(df.branches.size(), 2u);
     for (const auto &bf : df.branches)
@@ -300,86 +285,21 @@ TEST(DataflowProof, TablesMirrorDataflowInfoForAllServices)
         ASSERT_TRUE(ca->report.ok()) << name;
         ASSERT_NE(ca->proof, nullptr) << name;
         const DataflowInfo &df = ca->report.dataflow;
-        const trace::StaticProof &proof = *ca->proof;
+        const analysis::StaticProof &proof = *ca->proof;
 
-        EXPECT_EQ(proof.taintTierBound, df.tierBound) << name;
         EXPECT_EQ(proof.fingerprint,
-                  trace::ProgramIndex(svc->program()).fingerprint())
+                  analysis::programFingerprint(svc->program()))
             << name;
-        EXPECT_EQ(proof.memKind.size(),
+        EXPECT_EQ(proof.fingerprint, ca->fingerprint) << name;
+        EXPECT_EQ(proof.branchHint.size(),
                   svc->program().staticInstCount()) << name;
-        for (const auto &m : df.mems)
-            EXPECT_EQ(proof.memKind[m.flat],
-                      m.addrKind >= 0 ? static_cast<uint8_t>(m.addrKind)
-                                      : uint8_t{0})
-                << name;
-        for (const auto &bf : df.branches)
+        for (const auto &bf : df.branches) {
             EXPECT_EQ(proof.branchHint[bf.flat],
                       static_cast<uint8_t>(bf.uniformity)) << name;
-        // Tier-1 programs must have an exact kind for every memory op
-        // (that's what lets capture read kinds from the table).
-        if (proof.tier1()) {
-            for (const auto &m : df.mems)
-                EXPECT_GE(m.addrKind, 0) << name;
+            EXPECT_EQ(analysis::flatIndex(proof.codeBase, bf.pc), bf.flat)
+                << name;
+            EXPECT_EQ(proof.hintAt(bf.pc), bf.uniformity) << name;
         }
-    }
-}
-
-TEST(DataflowProof, McrouterIsStaticallyTierOne)
-{
-    auto svc = svc::buildService("mcrouter");
-    auto ca = analysis::analyzeAndProve(svc->program());
-    ASSERT_NE(ca->proof, nullptr);
-    EXPECT_TRUE(ca->proof->tier1());
-    EXPECT_FALSE(ca->report.dataflow.mayIdDep);
-    EXPECT_FALSE(ca->report.dataflow.mayFrameDep);
-}
-
-// ---------------------------------------------------------------------------
-// Capture fast path: proof-driven capture is bit-identical to the
-// dynamic taint walk.
-// ---------------------------------------------------------------------------
-
-TEST(DataflowCapture, StaticFastPathCaptureBitIdentical)
-{
-    auto svc = svc::buildService("mcrouter");
-    auto ca = analysis::analyzeAndProve(svc->program());
-    ASSERT_TRUE(ca->proof != nullptr && ca->proof->tier1());
-
-    trace::ProgramIndex pi(svc->program());
-    mem::HeapAllocator alloc(mem::AllocPolicy::SimrAware);
-    auto reqs = genRequests(*svc, 8, 23);
-
-    trace::CaptureBuilder dyn(pi);
-    trace::CaptureBuilder fast(pi);
-    fast.setStaticProof(ca->proof);
-
-    for (size_t i = 0; i < reqs.size(); ++i) {
-        auto init = svc::makeThreadInit(*svc, reqs[i], 0, i, alloc);
-        trace::ThreadState ts(svc->program());
-        dyn.reset(init);
-        fast.reset(init);
-        EXPECT_FALSE(dyn.staticFastPath());
-        EXPECT_TRUE(fast.staticFastPath());
-        ts.reset(init);
-        trace::StepResult r;
-        while (!ts.done()) {
-            ts.step(r);
-            dyn.onStep(r);
-            fast.onStep(r);
-        }
-        auto a = dyn.finish();
-        auto b = fast.finish();
-        EXPECT_EQ(a->opCount(), b->opCount());
-        EXPECT_EQ(a->identityDependent(), b->identityDependent());
-        EXPECT_EQ(a->frameDependent(), b->frameDependent());
-        EXPECT_EQ(a->staticIdx(), b->staticIdx());
-        EXPECT_EQ(a->flags(), b->flags());
-        EXPECT_EQ(a->addrArena(), b->addrArena());
-        EXPECT_EQ(a->memAddr(), b->memAddr());
-        EXPECT_EQ(a->dep1(), b->dep1());
-        EXPECT_EQ(a->dep2(), b->dep2());
-        EXPECT_EQ(a->callDepth(), b->callDepth());
     }
 }
 
@@ -450,8 +370,7 @@ TEST(DataflowGolden, JsonIsReproducibleAndStructured)
     // CLI's --dataflow --json consumers rely on).
     EXPECT_NE(j1.find("\"dataflow\": {"), std::string::npos);
     EXPECT_NE(j1.find("\"ran\": true"), std::string::npos);
-    EXPECT_NE(j1.find("\"tier_bound\": 1"), std::string::npos);
-    EXPECT_NE(j1.find("\"may_id_dep\": false"), std::string::npos);
+    EXPECT_NE(j1.find("\"all_uniform_per_batch\": "), std::string::npos);
     EXPECT_NE(j1.find("\"uniformity\": "), std::string::npos);
     EXPECT_NE(j1.find("\"mems\": ["), std::string::npos);
 

@@ -5,7 +5,8 @@
 #     Perfetto trace and validate it with tools/check_trace.py (always
 #     runs; python3 is part of the base image);
 #  2. gcc -fanalyzer over src/analysis and src/trace (the static
-#     dataflow framework and the trace capture/replay layer it feeds):
+#     dataflow framework and the interpreter whose execution it
+#     over-approximates):
 #     path-sensitive checks for leaks, NULL derefs and uninitialized
 #     reads. GCC 12's C++ analyzer is experimental, so two known
 #     false-positive patterns are suppressed (throwing operator new
@@ -117,9 +118,8 @@ if [ ! -f "$BUILD/compile_commands.json" ]; then
         || exit 1
 fi
 
-# The find glob picks up every library source automatically, including
-# the trace compiler and superop kernels (src/trace/compile.cc,
-# src/trace/kernels.cc) -- new sources need no registration here.
+# The find glob picks up every library source automatically -- new
+# sources need no registration here.
 FILES=$(find src tests bench examples \
     \( -name '*.cc' -o -name '*.cpp' \) | sort)
 
