@@ -562,7 +562,6 @@ runDataflow(const isa::Program &prog, const Cfg &cfg, DataflowInfo *out)
                 m.func = func;
                 m.block = b;
                 m.pc = pc;
-                m.flat = flat;
                 m.op = si.op;
                 m.reached = reached;
                 // Coalescibility is a within-batch property, so the

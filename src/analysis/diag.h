@@ -126,7 +126,6 @@ struct MemFlow
     int func = -1;
     int block = -1;
     isa::Pc pc = 0;
-    uint32_t flat = 0;
     isa::Op op = isa::Op::Load;
     MemClass cls = MemClass::Scattered;
     bool mayId = false;    ///< address may depend on reqId / tid
