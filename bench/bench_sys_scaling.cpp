@@ -13,8 +13,8 @@
  *
  * Default mode: wall-clock scaling on a datacenter-scale cell
  * (>= 1000 simulated servers, >= 1M open-loop users) -- the sequential
- * engine vs the sharded engine at 8 workers -- plus the legacy
- * single-graph social-network cell as a no-regression canary. Emits a
+ * engine vs the sharded engine at 8 workers -- plus the Fig. 22
+ * single-graph cell (runUserScenario) as a no-regression canary. Emits a
  * machine-readable summary to stdout ("BENCH_sys.json: ...") and to
  * the file BENCH_sys.json. The runs are always cross-checked for
  * bit-identity; wall-clock speedup is only meaningful with >= 8
@@ -277,7 +277,7 @@ runScaling(uint64_t seed)
     bool same = sameCluster(seq, par);
     double speedup = par_s > 0 ? seq_s / par_s : 0;
 
-    // No-regression canary: the legacy single-graph social cell.
+    // No-regression canary: the Fig. 22 single-graph cell.
     sys::SysConfig small;
     small.rpu = true;
     small.seed = seed;

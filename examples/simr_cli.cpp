@@ -12,7 +12,8 @@
  *   simr_cli tune <service>
  *   simr_cli sweep [--config cpu|smt8|rpu|gpu] [--requests N]
  *            [--threads N]
- *   simr_cli cluster [--qps N] [--rpu] [--nosplit]
+ *   simr_cli cluster [--qps N] [--rpu] [--nosplit] [--servers N]
+ *            [--users N] [--requests N] [--shards N] [--threads N]
  *   simr_cli stats [service] [--json] [--config cpu|smt8|rpu|gpu]
  *            [--requests N] [--threads N]
  *   simr_cli trace <service>|social_network [--out FILE]
@@ -25,13 +26,16 @@
  * Commands that run experiments also accept --metrics FILE to dump the
  * run's metric registry (text exposition) to a file.
  *
- * Exit codes: 0 success, 1 usage error, 2 unknown service,
- * 3 analysis findings / profiler inconsistency, 4 I/O failure.
+ * Exit codes: 0 success, 1 usage error, 2 unknown service or bad
+ * cluster flag value, 3 analysis findings / profiler inconsistency,
+ * 4 I/O failure.
  */
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -93,8 +97,9 @@ usage()
         "           [--threads N]\n"
         "  simr_cli cluster [--qps N] [--rpu] [--nosplit]\n"
         "           [--servers N] [--users N] [--requests N]\n"
-        "           [--shards N] [--threads N]   (cluster-scale PDES\n"
-        "           run when any of the last five flags is given)\n"
+        "           [--shards N] [--threads N]   (defaults: the Fig. 22\n"
+        "           single graph, one server per tier and one client;\n"
+        "           --servers N >= 5 scales the 4:4:2:2:1 tier mix)\n"
         "  simr_cli stats [service] [--json]\n"
         "           [--config cpu|smt8|rpu|gpu] [--requests N]\n"
         "           [--threads N]\n"
@@ -461,55 +466,78 @@ clusterTopology(int servers)
     return cc;
 }
 
+/**
+ * Strict numeric flag: keeps `*out` when the flag is absent, else
+ * requires the whole value to parse as a finite number in [lo, hi]
+ * (and to be integral when `integral`). Prints why and returns false
+ * on anything else.
+ */
+bool
+numFlag(int argc, char **argv, const char *name, double lo, double hi,
+        bool integral, double *out)
+{
+    if (!has(argc, argv, name))
+        return true;
+    std::string v = flag(argc, argv, name, "");
+    char *end = nullptr;
+    double x = v.empty() ? 0 : std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(x) || x < lo ||
+        x > hi || (integral && x != std::floor(x))) {
+        std::fprintf(stderr, "%s: expected %s in [%g, %g], got '%s'\n",
+                     name, integral ? "an integer" : "a number", lo, hi,
+                     v.c_str());
+        return false;
+    }
+    *out = x;
+    return true;
+}
+
+/**
+ * cluster: the social-network User scenario on the PDES cluster
+ * engine. With no flags it is Fig. 22's single graph: one server per
+ * tier and one Poisson client (what runUserScenario simulates);
+ * --servers scales the 4:4:2:2:1 tier mix, --users spreads the load
+ * over independent clients. Bad flag values exit 2.
+ */
 int
 cmdCluster(int argc, char **argv)
 {
     obs::Registry reg;
     obs::Scope scope(&reg);
 
-    bool at_scale = has(argc, argv, "--servers") ||
-        has(argc, argv, "--users") || has(argc, argv, "--requests") ||
-        has(argc, argv, "--shards") || has(argc, argv, "--threads");
-
-    if (!at_scale) {
-        // Legacy single-graph run: one server per tier, closed form.
-        sys::SysConfig cfg;
-        cfg.qps = std::stod(flag(argc, argv, "--qps", "10000"));
-        cfg.rpu = has(argc, argv, "--rpu");
-        cfg.batchSplit = !has(argc, argv, "--nosplit");
-        auto r = sys::runUserScenario(cfg);
-        Table t("cluster run");
-        t.header({"metric", "value"});
-        t.row({"system", cfg.rpu ? (cfg.batchSplit ? "RPU w/ split"
-                                                   : "RPU w/o split")
-                                 : "CPU"});
-        t.row({"offered QPS", Table::num(r.offeredQps, 0)});
-        t.row({"achieved QPS", Table::num(r.achievedQps, 0)});
-        t.row({"mean latency (us)", Table::num(r.meanUs(), 0)});
-        t.row({"p99 latency (us)", Table::num(r.p99Us(), 0)});
-        Table b("per-tier breakdown");
-        b.header({"tier", "mean wait (us)", "mean service (us)"});
-        for (const auto &tier : r.tiers)
-            b.row({tier.name, Table::num(tier.waitUs.mean(), 2),
-                   Table::num(tier.serviceUs.mean(), 2)});
-        t.print();
-        b.print();
-        return dumpMetricsIfAsked(argc, argv) ? 0 : 4;
+    sys::SysConfig graph;
+    graph.qps = 10000;
+    sys::ClusterConfig cc = sys::singleGraphCluster(graph);
+    double servers = 0;
+    double users = static_cast<double>(cc.users);
+    double requests = static_cast<double>(cc.requests);
+    double shards = 0, threads = 0;
+    if (!numFlag(argc, argv, "--qps", 0.001, 1e12, false, &cc.qps) ||
+        !numFlag(argc, argv, "--servers", 5, 1e6, true, &servers) ||
+        !numFlag(argc, argv, "--users", 1, 1e9, true, &users) ||
+        !numFlag(argc, argv, "--requests", 1, UINT32_MAX - 1.0, true,
+                 &requests) ||
+        !numFlag(argc, argv, "--shards", 0, 4096, true, &shards) ||
+        !numFlag(argc, argv, "--threads", 0, 4096, true, &threads))
+        return 2;
+    if (servers > 0) {
+        sys::ClusterConfig scaled =
+            clusterTopology(static_cast<int>(servers));
+        cc.webServers = scaled.webServers;
+        cc.userServers = scaled.userServers;
+        cc.mcrouterServers = scaled.mcrouterServers;
+        cc.memcServers = scaled.memcServers;
+        cc.storageServers = scaled.storageServers;
     }
-
-    // Cluster-scale run on the sharded PDES engine.
-    sys::ClusterConfig cc =
-        clusterTopology(std::stoi(flag(argc, argv, "--servers", "13")));
+    cc.users = static_cast<uint64_t>(users);
+    cc.requests = static_cast<uint64_t>(requests);
+    cc.shards = static_cast<int>(shards);
+    cc.threads = static_cast<int>(threads);
     cc.base.rpu = has(argc, argv, "--rpu");
     cc.base.batchSplit = !has(argc, argv, "--nosplit");
-    cc.qps = std::stod(flag(argc, argv, "--qps", "100000"));
-    cc.users = std::stoull(flag(argc, argv, "--users", "20000"));
-    cc.requests = std::stoull(flag(argc, argv, "--requests", "100000"));
-    cc.shards = std::stoi(flag(argc, argv, "--shards", "0"));
-    cc.threads = std::stoi(flag(argc, argv, "--threads", "0"));
     auto r = sys::runCluster(cc);
 
-    Table t("cluster run (PDES engine)");
+    Table t("cluster run");
     t.header({"metric", "value"});
     t.row({"system", cc.base.rpu
                          ? (cc.base.batchSplit ? "RPU w/ split"
@@ -620,10 +648,11 @@ traceChipLevel(const svc::Service &svc, const std::string &name,
 /**
  * trace: emit a Chrome trace-event / Perfetto timeline.
  *
- * `social_network` is the end-to-end Fig. 22 view: the uqsim User
- * scenario (per-tier queueing in simulated microseconds) plus a
- * chip-level lockstep trace of the `user` logic-tier service. Any
- * other service name gives the chip-level view alone.
+ * `social_network` is the end-to-end Fig. 22 view: the User
+ * scenario's single graph (per-tier queueing in simulated
+ * microseconds) plus a chip-level lockstep trace of the `user`
+ * logic-tier service. Any other service name gives the chip-level view
+ * alone.
  */
 int
 cmdTrace(const std::string &target, int argc, char **argv)

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <functional>
 
-#include "analysis/cache.h"
 #include "analysis/cfg.h"
 #include "analysis/dataflow.h"
 #include "analysis/dom.h"
@@ -379,14 +378,6 @@ analyze(const Program &prog)
                              static_cast<int>(b.code);
                      });
     return r;
-}
-
-void
-gateOrDie(const Program &prog)
-{
-    // Delegates to the fingerprint-keyed cache: repeated runner / cell
-    // invocations over the same service re-use one analysis.
-    (void)gateAndProve(prog);
 }
 
 } // namespace simr::analysis

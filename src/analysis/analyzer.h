@@ -14,8 +14,9 @@
  * accesses resolvably inconsistent with the address-space map.
  *
  * simr::runTiming / measureEfficiency gate every program through
- * gateOrDie() before simulation, so a service or generator change that
- * breaks an invariant fails loudly instead of skewing results.
+ * gateAndProve() (analysis/cache.h) before simulation, so a service or
+ * generator change that breaks an invariant fails loudly instead of
+ * skewing results.
  */
 
 #ifndef SIMR_ANALYSIS_ANALYZER_H
@@ -29,12 +30,6 @@ namespace simr::analysis
 
 /** Run the full static analysis over one laid-out program. */
 Report analyze(const isa::Program &prog);
-
-/**
- * Pre-simulation gate: analyze and simr_fatal (exit 1) listing the
- * findings when any error-severity diagnostic is present.
- */
-void gateOrDie(const isa::Program &prog);
 
 /**
  * PC of the first real instruction at or after `block`: empty blocks

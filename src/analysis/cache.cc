@@ -2,7 +2,6 @@
 
 #include "analysis/analyzer.h"
 #include "analysis/dataflow.h"
-#include "common/config.h"
 #include "common/logging.h"
 #include "analysis/proof.h"
 
@@ -23,17 +22,13 @@ analyzeAndProve(const isa::Program &prog)
     return entry;
 }
 
-AnalysisCache *
+AnalysisCache &
 AnalysisCache::process()
 {
     // Leaked singleton: no destructor runs at exit, so there is no
     // teardown-order hazard with worker threads still using it.
-    static AnalysisCache *cache = []() -> AnalysisCache * {
-        if (envInt("SIMR_ANALYSIS_CACHE", 1) == 0)
-            return nullptr;
-        return new AnalysisCache();
-    }();
-    return cache;
+    static AnalysisCache *cache = new AnalysisCache();
+    return *cache;
 }
 
 std::shared_ptr<const CachedAnalysis>
@@ -82,9 +77,8 @@ AnalysisCache::entries() const
 std::shared_ptr<const CachedAnalysis>
 gateAndProve(const isa::Program &prog)
 {
-    AnalysisCache *cache = AnalysisCache::process();
     std::shared_ptr<const CachedAnalysis> entry =
-        cache != nullptr ? cache->get(prog) : analyzeAndProve(prog);
+        AnalysisCache::process().get(prog);
     const Report &r = entry->report;
     if (r.ok())
         return entry;

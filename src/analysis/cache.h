@@ -5,8 +5,7 @@
  * runTiming) and every cell of a sweep re-gate the same
  * service programs; the full analysis (CFG, dominators, two dataflow
  * fixpoints) is pure in the program content, so it is computed once and
- * shared. SIMR_ANALYSIS_CACHE=0 disables reuse process-wide (every
- * gate call re-analyzes, nothing is retained).
+ * shared.
  */
 
 #ifndef SIMR_ANALYSIS_CACHE_H
@@ -36,11 +35,10 @@ class AnalysisCache
 {
   public:
     /**
-     * The process-wide cache, or nullptr when SIMR_ANALYSIS_CACHE=0.
-     * Leaked singleton: never destroyed, so worker threads still
-     * running at exit can use it safely.
+     * The process-wide cache. Leaked singleton: never destroyed, so
+     * worker threads still running at exit can use it safely.
      */
-    static AnalysisCache *process();
+    static AnalysisCache &process();
 
     /** Analysis for `prog`, computing and retaining it on first use. */
     std::shared_ptr<const CachedAnalysis> get(const isa::Program &prog);
@@ -62,8 +60,9 @@ std::shared_ptr<const CachedAnalysis>
 analyzeAndProve(const isa::Program &prog);
 
 /**
- * Cached gate: fatal (like gateOrDie) when `prog` carries error
- * findings, otherwise returns the shared analysis with its StaticProof.
+ * Pre-simulation gate, cached: simr_fatal (exit 1) listing the findings
+ * when `prog` carries error-severity diagnostics, otherwise the shared
+ * analysis with its StaticProof.
  */
 std::shared_ptr<const CachedAnalysis>
 gateAndProve(const isa::Program &prog);

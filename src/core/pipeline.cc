@@ -118,10 +118,7 @@ TimingCore::claimPort(uint64_t cycle, const DynOp &op, uint32_t occupancy)
 void
 TimingCore::hot(int k, uint64_t n)
 {
-    if (cfg_.eventDriven)
-        hotCtrs_[k] += n;
-    else
-        res_.counters.add(kHotNames[k], n);
+    hotCtrs_[k] += n;
 }
 
 uint32_t
@@ -205,17 +202,11 @@ TimingCore::fetch(uint64_t cycle)
             if (s.waitingBranch || cycle < s.stallUntil) {
                 StallKind k = s.waitingBranch ? kStallFeBranch
                                               : kStallFeRefill;
-                if (cfg_.eventDriven)
-                    ++cycleStalls_[k];
-                else
-                    res_.counters.add(kStallNames[k]);
+                ++cycleStalls_[k];
                 break;
             }
             if (robCount_ >= rob_.size() || s.inFlight >= partition) {
-                if (cfg_.eventDriven)
-                    ++cycleStalls_[kStallRobFull];
-                else
-                    res_.counters.add(kStallNames[kStallRobFull]);
+                ++cycleStalls_[kStallRobFull];
                 break;
             }
 
@@ -338,20 +329,14 @@ TimingCore::issue(uint64_t cycle)
             return s.doneAt[pseq % kDoneRing] <= cycle;
         };
         if (!ready(e.op.dep1) || !ready(e.op.dep2)) {
-            if (cfg_.eventDriven)
-                ++cycleStalls_[kStallDep];
-            else
-                res_.counters.add(kStallNames[kStallDep]);
+            ++cycleStalls_[kStallDep];
             continue;
         }
 
         if (e.op.isMem() &&
             memInFlight_.size() >=
                 static_cast<size_t>(cfg_.lsqEntries)) {
-            if (cfg_.eventDriven)
-                ++cycleStalls_[kStallLsq];
-            else
-                res_.counters.add(kStallNames[kStallLsq]);
+            ++cycleStalls_[kStallLsq];
             continue;
         }
 
@@ -377,10 +362,7 @@ TimingCore::issue(uint64_t cycle)
             break;
         }
         if (!claimPort(cycle, e.op, occupancy)) {
-            if (cfg_.eventDriven)
-                ++cycleStalls_[kStallPort];
-            else
-                res_.counters.add(kStallNames[kStallPort]);
+            ++cycleStalls_[kStallPort];
             continue;
         }
 
@@ -538,60 +520,46 @@ TimingCore::run(const std::vector<trace::DynStream *> &streams,
 
     const uint64_t nstreams = streams_.size();
     uint64_t cycle = 0;
-    if (!cfg_.eventDriven) {
-        // The per-cycle reference loop: tick every simulated cycle,
-        // stall counters recorded per occurrence straight into the
-        // CounterSet (the original accounting). The determinism gate
-        // compares the event-driven loop below against this, so it
-        // stays deliberately plain.
-        for (; cycle < max_cycles && !allDrained(); ++cycle) {
-            commit(cycle);
-            issue(cycle);
-            fetch(cycle);
-        }
-    } else {
-        while (cycle < max_cycles && !allDrained()) {
-            std::fill(std::begin(cycleStalls_), std::end(cycleStalls_),
-                      0);
-            portNextFree_ = UINT64_MAX;
+    while (cycle < max_cycles && !allDrained()) {
+        std::fill(std::begin(cycleStalls_), std::end(cycleStalls_), 0);
+        portNextFree_ = UINT64_MAX;
 
-            int work = commit(cycle);
-            work += issue(cycle);
-            work += fetch(cycle);
+        int work = commit(cycle);
+        work += issue(cycle);
+        work += fetch(cycle);
 
-            // Event-driven cycle skipping. A cycle with no commit, no
-            // issue and no fetch changes nothing but the clock: every
-            // ROB entry keeps its stall reason and every stream its
-            // fetch-stall reason until the next event fires
-            // (dependence/commit wake-ups are bounded by the earliest
-            // doneCycle, LSQ occupancy by memInFlight_'s head, port
-            // starvation by the earliest release, refills by
-            // stallUntil). So the per-cycle reference loop would
-            // re-record exactly this cycle's stall pattern on every
-            // skipped cycle -- which is what makes replaying it `span`
-            // times bit-identical, including the round-robin cursor
-            // advance.
-            uint64_t span = 1;
-            if (work == 0) {
-                uint64_t next = nextEventCycle(cycle);
-                if (next <= cycle || next == UINT64_MAX)
-                    next = cycle + 1;  // nothing pending: crawl
-                next = std::min(next, max_cycles);
-                span = next - cycle;
-                res_.skippedCycles += span - 1;
-                if (span > 1) {
-                    ++res_.skipJumps;
-                    rrCursor_ = static_cast<int>(
-                        (static_cast<uint64_t>(rrCursor_) +
-                         (span - 1) % nstreams) % nstreams);
-                }
-                cycle = next;
-            } else {
-                ++cycle;
+        // Event-driven cycle skipping. A cycle with no commit, no issue
+        // and no fetch changes nothing but the clock: every ROB entry
+        // keeps its stall reason and every stream its fetch-stall
+        // reason until the next event fires (dependence/commit wake-ups
+        // are bounded by the earliest doneCycle, LSQ occupancy by
+        // memInFlight_'s head, port starvation by the earliest release,
+        // refills by stallUntil). So ticking through the stall would
+        // re-record exactly this cycle's stall pattern on every skipped
+        // cycle -- which is what makes replaying it `span` times
+        // bit-identical, including the round-robin cursor advance. The
+        // per-cycle reference (eventDriven = false) never skips: span
+        // stays 1.
+        uint64_t span = 1;
+        if (work == 0 && cfg_.eventDriven) {
+            uint64_t next = nextEventCycle(cycle);
+            if (next <= cycle || next == UINT64_MAX)
+                next = cycle + 1;  // nothing pending: crawl
+            next = std::min(next, max_cycles);
+            span = next - cycle;
+            res_.skippedCycles += span - 1;
+            if (span > 1) {
+                ++res_.skipJumps;
+                rrCursor_ = static_cast<int>(
+                    (static_cast<uint64_t>(rrCursor_) +
+                     (span - 1) % nstreams) % nstreams);
             }
-            for (int k = 0; k < kNumStallKinds; ++k)
-                stallTotals_[k] += cycleStalls_[k] * span;
+            cycle = next;
+        } else {
+            ++cycle;
         }
+        for (int k = 0; k < kNumStallKinds; ++k)
+            stallTotals_[k] += cycleStalls_[k] * span;
     }
     if (!allDrained())
         simr_warn("core '%s' hit the cycle bound", cfg_.name.c_str());

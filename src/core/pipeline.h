@@ -178,17 +178,17 @@ class TimingCore
     bool claimPort(uint64_t cycle, const trace::DynOp &op,
                    uint32_t occupancy);
 
-    /** Count a HotCtr event: flat array (event mode) or map (ref). */
+    /** Count a HotCtr event into the flat whole-run array. */
     void hot(int k, uint64_t n = 1);
 
     /**
-     * Stall-counter kinds. In event-driven mode these are recorded per
-     * cycle into a scratch array so a no-progress cycle's pattern can be
-     * replayed N times in O(1) when the loop skips N identical cycles
-     * (and so the hot loop never touches the CounterSet map; totals land
-     * in `res_.counters` once, at the end of run()). The per-cycle
-     * reference loop keeps the original per-occurrence
-     * `res_.counters.add` accounting -- same final counts, seed cost.
+     * Stall-counter kinds, recorded per cycle into a scratch array so a
+     * no-progress cycle's pattern can be replayed N times in O(1) when
+     * the loop skips N identical cycles, and so the hot loop never
+     * touches the CounterSet map: totals land in `res_.counters` once,
+     * at the end of run(). Both loop modes share this one accounting
+     * path; the per-cycle reference (eventDriven = false) differs from
+     * the event-driven loop only in never skipping (every span is 1).
      */
     enum StallKind {
         kStallDep = 0,   ///< operand not complete
@@ -202,13 +202,10 @@ class TimingCore
 
     /**
      * Per-op event counters touched on the fetch/issue/commit hot path.
-     * In event-driven mode they accumulate in a flat array (one add per
-     * event instead of one string-keyed map lookup per event, tens of
-     * millions per run) and fold into `res_.counters` once at the end
-     * of run(); a name appears in the CounterSet iff its total is
-     * nonzero, exactly as if it had been added per occurrence. The
-     * per-cycle reference keeps the original per-occurrence add -- same
-     * final counts, seed cost profile (see StallKind).
+     * They accumulate in a flat array (one add per event instead of one
+     * string-keyed map lookup per event, tens of millions per run) and
+     * fold into `res_.counters` once at the end of run(); a name
+     * appears in the CounterSet iff its total is nonzero.
      */
     enum HotCtr {
         kHotFetch = 0, kHotDecode, kHotRename, kHotRobWrite,

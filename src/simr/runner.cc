@@ -253,14 +253,13 @@ runCells(const std::vector<Cell> &cells, int threads)
 void
 recordAnalysisStats()
 {
-    analysis::AnalysisCache *cache = analysis::AnalysisCache::process();
-    if (cache == nullptr)
-        return;
+    const analysis::AnalysisCache &cache =
+        analysis::AnalysisCache::process();
     obs::Registry *reg = obs::Scope::registry();
-    reg->counter("analysis.cache_hits")->inc(cache->hits());
-    reg->counter("analysis.cache_misses")->inc(cache->misses());
+    reg->counter("analysis.cache_hits")->inc(cache.hits());
+    reg->counter("analysis.cache_misses")->inc(cache.misses());
     reg->gauge("analysis.cache_entries")->set(
-        static_cast<double>(cache->entries()));
+        static_cast<double>(cache.entries()));
 }
 
 } // namespace simr

@@ -150,7 +150,6 @@ std::vector<TimingRun> runCells(const std::vector<Cell> &cells,
  * this once, right before exposition; runCells deliberately does not --
  * hit/miss totals depend on cross-thread scheduling, and the per-cell
  * registries it merges must stay bit-identical at any thread count.
- * No-op when the cache is disabled (SIMR_ANALYSIS_CACHE=0).
  */
 void recordAnalysisStats();
 

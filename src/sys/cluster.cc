@@ -11,7 +11,7 @@
 #include "common/rng.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
-#include "sys/station.h"
+#include "obs/trace.h"
 
 namespace simr::sys
 {
@@ -27,6 +27,122 @@ constexpr int kTierUser = 1;
 constexpr int kTierStorage = 4;
 const char *const kTierNames[kTiers] = {"web", "user", "mcrouter",
                                         "memc", "storage"};
+
+/** Perfetto track layout of the system timeline: one process, batch
+ *  formation on tid 1 and tier t on tierTid(t) (so the user tier is
+ *  tid 3, where simr_cli trace anchors its flows). */
+constexpr int kSysPid = 2;
+constexpr int kTidBatchForm = 1;
+constexpr int tierTid(int t) { return kTidBatchForm + 1 + t; }
+const char *const kTierTracks[kTiers] = {
+    "web tier", "user tier", "mcrouter tier", "memcached tier",
+    "storage tier"};
+
+/**
+ * A rate-and-latency service station with FIFO fluid queueing: a group
+ * of n requests occupies n/rate of capacity and observes `latency` of
+ * service time, plus whatever queueing delay the backlog causes. One
+ * Station is the whole mutable state of a simulated server node, so a
+ * cluster of thousands of servers is just a vector of these.
+ */
+class Station
+{
+  public:
+    Station(const char *name, int tid, double rate_per_us,
+            double latency_us)
+        : name_(name), tid_(tid), rate_(rate_per_us),
+          latency_(latency_us)
+    {
+        simr_assert(rate_ > 0, "station rate must be positive");
+    }
+
+    /**
+     * Serve n requests arriving at time t; returns completion time and
+     * the service start in `*start_out`. Records queueing wait and
+     * occupancy into `wait`/`service` and, when a tracer is in scope,
+     * emits the service-occupancy span on the tier's track (one
+     * server's spans never overlap, so a single-server tier renders as
+     * one clean track).
+     */
+    double
+    process(double t, int n, RunningStat &wait, RunningStat &service,
+            obs::Tracer *tr, double *start_out)
+    {
+        double start = std::max(t, nextFree_);
+        double occupancy = static_cast<double>(n) / rate_;
+        nextFree_ = start + occupancy;
+        wait.add(start - t);
+        service.add(occupancy);
+        *start_out = start;
+        if (tr) {
+            tr->complete(
+                name_, "sys", start, occupancy, kSysPid, tid_,
+                {{"n", obs::jnum(static_cast<uint64_t>(n))},
+                 {"wait_us", obs::jnum(start - t)},
+                 {"latency_us", obs::jnum(latency_)}});
+        }
+        return start + latency_;
+    }
+
+    /** Consume extra capacity (split-orphan re-execution cost). */
+    void
+    charge(double request_equivalents)
+    {
+        nextFree_ += request_equivalents / rate_;
+    }
+
+  private:
+    const char *name_;
+    int tid_;
+    double rate_;
+    double latency_;
+    double nextFree_ = 0;
+};
+
+/** One formed batch: the half-open index range [begin, end) into the
+ *  sorted arrival array it was formed from, and its emit time. */
+struct BatchWindow
+{
+    size_t begin = 0;
+    size_t end = 0;
+    double emitTime = 0;
+};
+
+/**
+ * Batch formation (size or timeout) over a time-sorted arrival array:
+ * a batch emits when it reaches `bsize` requests or when its window
+ * (opened by its first arrival, `timeout_us` wide) closes. bsize == 1
+ * degenerates to one batch per request emitting at its arrival -- the
+ * CPU systems' path. Pure function of its inputs, so the sequential
+ * and sharded engines form identical batches.
+ */
+std::vector<BatchWindow>
+formBatchWindows(const double *times, size_t n, int bsize,
+                 double timeout_us)
+{
+    std::vector<BatchWindow> out;
+    if (bsize <= 1) {
+        out.reserve(n);
+        for (size_t i = 0; i < n; ++i)
+            out.push_back({i, i + 1, times[i]});
+        return out;
+    }
+    for (size_t i = 0; i < n;) {
+        BatchWindow b;
+        b.begin = i;
+        double window_end = times[i] + timeout_us;
+        while (i < n && i - b.begin < static_cast<size_t>(bsize) &&
+               (i == b.begin || times[i] <= window_end)) {
+            ++i;
+        }
+        b.end = i;
+        double last = times[i - 1];
+        b.emitTime = i - b.begin == static_cast<size_t>(bsize) ?
+            last : std::min(window_end, last + timeout_us);
+        out.push_back(b);
+    }
+    return out;
+}
 
 /** Event kinds: 0..4 = batch arrival at that tier; 5 = orphan-capacity
  *  charge at the user tier. Event keys are batch * kKeyStride + kind,
@@ -44,14 +160,15 @@ struct NodeState
     RunningStat serviceUs;
 };
 
-/** Per-batch causal flight record (tier timings consumed by journey
- *  construction at the completion point). Allocated only when a
- *  JourneyRecorder is in scope; written along the batch's causal event
- *  chain, so the kernel's mailbox/barrier handoff publishes it. */
+/** Per-batch causal flight record: the service start at each tier,
+ *  consumed by journey construction at the completion point (enqueue
+ *  and done times follow from it with the same arithmetic apply()
+ *  uses). Allocated only when a JourneyRecorder is in scope; written
+ *  along the batch's causal event chain, so the kernel's
+ *  mailbox/barrier handoff publishes it. */
 struct Flight
 {
-    double enq[4] = {}, start[4] = {}, done[4] = {};
-    double senq = 0, sstart = 0, sdone = 0;
+    double start[kTiers] = {};
 };
 
 /** Per-shard accumulator. Totals are folded in shard order after the
@@ -73,7 +190,8 @@ class ClusterModel : public Model
 {
   public:
     ClusterModel(const ClusterConfig &cfg, int setup_threads)
-        : cfg_(cfg), jrec_(obs::Scope::journeys())
+        : cfg_(cfg), jrec_(obs::Scope::journeys()),
+          tr_(obs::Scope::tracer())
     {
         webSalt_ = mix64(cfg.seed ^ 0x7765625f73727677ULL);
         missSalt_ = mix64(cfg.seed ^ 0x6d656d635f6d7373ULL);
@@ -82,6 +200,12 @@ class ClusterModel : public Model
         buildLoad(setup_threads);
         if (jrec_)
             flights_.resize(nBatches_);
+        if (tr_) {
+            tr_->processName(kSysPid, "cluster (User scenario)");
+            tr_->threadName(kSysPid, kTidBatchForm, "batch formation");
+            for (int t = 0; t < kTiers; ++t)
+                tr_->threadName(kSysPid, tierTid(t), kTierTracks[t]);
+        }
     }
 
     uint32_t nodeCount() const override { return totalNodes_; }
@@ -177,6 +301,7 @@ class ClusterModel : public Model
         return cx.jcur;
     }
 
+    void traceBatchOpen(uint64_t b);
     void completeBatch(uint64_t b, Who who, bool any_miss, double done,
                        double reconv, ShardCtx &cx);
     void buildJourney(uint32_t rid, uint64_t b, uint32_t n,
@@ -185,11 +310,13 @@ class ClusterModel : public Model
 
     ClusterConfig cfg_;
     obs::JourneyRecorder *jrec_;
+    obs::Tracer *tr_;  ///< mutex-protected: shard workers share it
     uint64_t webSalt_ = 0, missSalt_ = 0, routeSalt_ = 0;
 
     // Static topology.
     uint32_t tierBase_[kTiers] = {};
     uint32_t tierCount_[kTiers] = {};
+    double tierLatency_[kTiers] = {};
     uint32_t totalNodes_ = 0;
     std::vector<NodeState> nodes_;
 
@@ -220,9 +347,8 @@ ClusterModel::buildNodes()
         double rate;
         double latency;
     };
-    // Storage is the paper's disk/flash tier: a real queueing station
-    // here (the single-graph model used a fixed latency), but never
-    // RPU-scaled.
+    // Storage is the paper's disk/flash tier: a queueing station like
+    // the others, but never RPU-scaled.
     const TierDef defs[kTiers] = {
         {cfg_.webServers, b.webCores / b.webSvcUs * tscale,
          b.webSvcUs * lscale},
@@ -240,14 +366,15 @@ ClusterModel::buildNodes()
     for (int t = 0; t < kTiers; ++t) {
         tierBase_[t] = base;
         tierCount_[t] = static_cast<uint32_t>(defs[t].servers);
+        tierLatency_[t] = defs[t].latency;
         base += tierCount_[t];
     }
     totalNodes_ = base;
     nodes_.reserve(totalNodes_);
     for (int t = 0; t < kTiers; ++t)
         for (uint32_t i = 0; i < tierCount_[t]; ++i)
-            nodes_.push_back({Station(kTierNames[t], 0, defs[t].rate,
-                                      defs[t].latency),
+            nodes_.push_back({Station(kTierNames[t], tierTid(t),
+                                      defs[t].rate, defs[t].latency),
                               {},
                               {}});
 }
@@ -425,21 +552,13 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
     uint64_t last = batchFirst_[b + 1];
     int n = tier == kTierStorage ? static_cast<int>(ev.aux)
                                  : static_cast<int>(last - first);
+    if (tr_ && tier == kTierWeb)
+        traceBatchOpen(b);
     double start;
     double done = nd.station.process(ev.time, n, nd.waitUs,
-                                     nd.serviceUs, nullptr, 0, &start);
-    Flight *fl = flights_.empty() ? nullptr : &flights_[b];
-    if (fl) {
-        if (tier < kTierStorage) {
-            fl->enq[tier] = ev.time;
-            fl->start[tier] = start;
-            fl->done[tier] = done;
-        } else {
-            fl->senq = ev.time;
-            fl->sstart = start;
-            fl->sdone = done;
-        }
-    }
+                                     nd.serviceUs, tr_, &start);
+    if (!flights_.empty())
+        flights_[b].start[tier] = start;
 
     if (tier < 3) {
         // Forward the batch one tier down the chain; the network hop
@@ -487,6 +606,24 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
                   done + net, cx);
 }
 
+/** Timeline: the batch's formation span (batched systems only) and the
+ *  opening of each member's per-request async span at its arrival. */
+void
+ClusterModel::traceBatchOpen(uint64_t b)
+{
+    uint64_t first = batchFirst_[b];
+    uint64_t last = batchFirst_[b + 1];
+    double open = arrival_[reqFlat_[first]];
+    if (cfg_.base.rpu && cfg_.base.batchSize > 1) {
+        tr_->complete("form batch " + std::to_string(b), "batching", open,
+                      emit_[b] - open, kSysPid, kTidBatchForm,
+                      {{"size", obs::jnum(last - first)}});
+    }
+    for (uint64_t i = first; i < last; ++i)
+        tr_->asyncBegin("req", "request", reqFlat_[i],
+                        arrival_[reqFlat_[i]], kSysPid);
+}
+
 void
 ClusterModel::completeBatch(uint64_t b, Who who, bool any_miss,
                             double done, double reconv, ShardCtx &cx)
@@ -520,6 +657,8 @@ ClusterModel::completeBatch(uint64_t b, Who who, bool any_miss,
             continue;
         double e2e = done - arrival_[rid];
         e2e_[rid] = e2e;
+        if (tr_)
+            tr_->asyncEnd("req", "request", rid, done, kSysPid);
         if (cur) {
             uint64_t key;
             if (cur->offer(rid, e2e, &key))
@@ -550,18 +689,27 @@ ClusterModel::buildJourney(uint32_t rid, uint64_t b, uint32_t n,
     };
     ev(obs::JStage::Arrival, arrival_[rid], -1);
     ev(obs::JStage::BatchFormed, emit_[b], -1, b);
+    // Replays apply()'s times: a tier is done at start + latency, and
+    // the next tier is entered one network hop later.
+    const double net = cfg_.base.netUs;
+    double enq = emit_[b];
+    double tier_done = 0;
     for (int k = 0; k < 4; ++k) {
-        ev(obs::JStage::TierEnqueue, fl.enq[k], k);
+        tier_done = fl.start[k] + tierLatency_[k];
+        ev(obs::JStage::TierEnqueue, enq, k);
         ev(obs::JStage::TierStart, fl.start[k], k);
-        ev(obs::JStage::TierDone, fl.done[k], k);
+        ev(obs::JStage::TierDone, tier_done, k);
+        enq = tier_done + net;
     }
-    ev(obs::JStage::CacheOutcome, fl.done[3], 3, is_miss ? 1 : 0);
+    ev(obs::JStage::CacheOutcome, tier_done, 3, is_miss ? 1 : 0);
     if (is_miss) {
         if (j.orphan)
-            ev(obs::JStage::SplitRetry, fl.done[3], 3, b);
-        ev(obs::JStage::TierEnqueue, fl.senq, kTierStorage);
-        ev(obs::JStage::TierStart, fl.sstart, kTierStorage);
-        ev(obs::JStage::TierDone, fl.sdone, kTierStorage);
+            ev(obs::JStage::SplitRetry, tier_done, 3, b);
+        const double sstart = fl.start[kTierStorage];
+        ev(obs::JStage::TierEnqueue, enq + net, kTierStorage);
+        ev(obs::JStage::TierStart, sstart, kTierStorage);
+        ev(obs::JStage::TierDone, sstart + tierLatency_[kTierStorage],
+           kTierStorage);
         ev(obs::JStage::Completion, done, -1);
     } else if (blocked) {
         ev(obs::JStage::ReconvJoin, reconv, -1, b, true);
@@ -686,6 +834,25 @@ ClusterConfig::validate() const
     simr_assert(shards >= 0, "shards must be >= 0 (0 = auto)");
     simr_assert(threads >= 0, "threads must be >= 0 (0 = auto)");
     simr_assert(mailboxCapacity >= 1, "mailboxCapacity must be >= 1");
+}
+
+ClusterConfig
+singleGraphCluster(const SysConfig &cfg)
+{
+    ClusterConfig cc;
+    cc.base = cfg;
+    cc.webServers = 1;
+    cc.userServers = 1;
+    cc.mcrouterServers = 1;
+    cc.memcServers = 1;
+    cc.storageServers = 1;
+    cc.users = 1;
+    // A non-positive count maps to 0, which validate() rejects.
+    cc.requests = cfg.requests > 0 ? static_cast<uint64_t>(cfg.requests)
+                                   : 0;
+    cc.qps = cfg.qps;
+    cc.seed = cfg.seed;
+    return cc;
 }
 
 ClusterResult

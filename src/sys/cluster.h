@@ -31,10 +31,13 @@
  * folded in shard order, the same input-order discipline runCells
  * uses for per-cell registries). When an obs::JourneyRecorder is in
  * scope, every request is offered for per-request causal journey
- * capture with the same event shape as runUserScenario, so the
- * anatomy drill-down works unchanged at cluster scale. The Perfetto
- * tracer is not consulted (a cluster run has millions of spans;
- * use the single-graph runUserScenario for timelines).
+ * capture, so the anatomy drill-down works at any scale. When an
+ * obs::Tracer is in scope, the run emits a Perfetto timeline in
+ * simulated microseconds on pid 2: batch formation on tid 1, tier t's
+ * service-occupancy spans on tid 2 + t (every server of a tier shares
+ * its tier's track) and one async span per request. A cluster run has
+ * millions of spans, so timelines are meant for the single-graph
+ * runUserScenario.
  */
 
 #ifndef SIMR_SYS_CLUSTER_H
@@ -110,6 +113,14 @@ struct ClusterResult
     uint64_t splitOrphans = 0;
     PdesStats pdes;
 };
+
+/**
+ * Fig. 22's single graph as a cluster: one server per tier and one
+ * Poisson client at cfg.qps (exactly uqSim's arrival process), with
+ * cfg's load, seed and tier parameters. Storage keeps the cluster
+ * defaults (one server, `storageCores`).
+ */
+ClusterConfig singleGraphCluster(const SysConfig &cfg);
 
 /**
  * Run the cluster scenario on the sharded PDES engine. Shards resolve

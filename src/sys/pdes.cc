@@ -28,7 +28,13 @@ struct EventAfter
 using EventHeap =
     std::priority_queue<Event, std::vector<Event>, EventAfter>;
 
-/** Sequential reference engine: one heap, pop in (time, key) order. */
+/**
+ * Sequential reference engine: pop in (time, key) order. The initial
+ * population is sorted once and merged with a heap holding only the
+ * emitted events, so a run never pays a heap push and pop per initial
+ * event. Keys are unique, so the pop order is exactly the single-heap
+ * order.
+ */
 PdesStats
 runSequential(Model &m, std::vector<Event> initial)
 {
@@ -39,14 +45,20 @@ runSequential(Model &m, std::vector<Event> initial)
         EventHeap heap;
         void emit(const Event &ev) override { heap.push(ev); }
     } sink;
-    for (const Event &ev : initial)
-        sink.heap.push(ev);
-    initial.clear();
+    std::sort(initial.begin(), initial.end(), eventBefore);
 
     PdesStats stats;
-    while (!sink.heap.empty()) {
-        Event ev = sink.heap.top();
-        sink.heap.pop();
+    size_t next = 0;
+    while (next < initial.size() || !sink.heap.empty()) {
+        Event ev;
+        if (next < initial.size() &&
+            (sink.heap.empty() ||
+             eventBefore(initial[next], sink.heap.top()))) {
+            ev = initial[next++];
+        } else {
+            ev = sink.heap.top();
+            sink.heap.pop();
+        }
         ++stats.events;
         m.apply(ev, sink, 0);
     }

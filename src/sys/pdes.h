@@ -128,10 +128,11 @@ shardOfNode(uint32_t node, int shards)
 }
 
 /**
- * Run the model to completion from the initial event population.
- * Destroys `initial` (moved into the shard heaps). With cfg.shards == 1
+ * Run the model to completion from the initial event population
+ * (consumed: sorted once by the sequential engine, distributed into
+ * the shard heaps by the sharded one). With cfg.shards == 1
  * (or lookahead <= 0, which forces it) this is the plain sequential
- * event loop: one heap, no windows, no mailboxes -- the reference
+ * event loop: one event queue, no windows, no mailboxes -- the reference
  * engine the determinism gate compares against.
  */
 PdesStats runPdes(Model &m, std::vector<Event> initial,

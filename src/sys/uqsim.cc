@@ -1,32 +1,10 @@
 #include "sys/uqsim.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/logging.h"
-#include "common/rng.h"
-#include "obs/journey.h"
-#include "obs/trace.h"
-#include "sys/station.h"
+#include "sys/cluster.h"
 
 namespace simr::sys
 {
-
-namespace
-{
-
-/** Trace track layout for the system timeline. */
-constexpr int kSysPid = 2;
-enum SysTid : int {
-    kTidBatchForm = 1,
-    kTidWeb,
-    kTidUser,
-    kTidMcRouter,
-    kTidMemc,
-    kTidStorage,
-};
-
-} // namespace
 
 void
 SysConfig::validate() const
@@ -54,257 +32,7 @@ SysConfig::validate() const
 SysResult
 runUserScenario(const SysConfig &cfg)
 {
-    cfg.validate();
-    Rng rng(cfg.seed);
-    SysResult res;
-    res.offeredQps = cfg.qps;
-
-    obs::Tracer *tr = obs::Scope::tracer();
-    if (tr) {
-        tr->processName(kSysPid, "cluster (uqsim User scenario)");
-        tr->threadName(kSysPid, kTidBatchForm, "batch formation");
-        tr->threadName(kSysPid, kTidWeb, "web tier");
-        tr->threadName(kSysPid, kTidUser, "user tier");
-        tr->threadName(kSysPid, kTidMcRouter, "mcrouter tier");
-        tr->threadName(kSysPid, kTidMemc, "memcached tier");
-        tr->threadName(kSysPid, kTidStorage, "storage tier");
-    }
-
-    // Open-loop Poisson arrivals.
-    std::vector<double> arrivals;
-    arrivals.reserve(static_cast<size_t>(cfg.requests));
-    double t = 0;
-    double mean_gap_us = 1e6 / cfg.qps;
-    for (int i = 0; i < cfg.requests; ++i) {
-        t += rng.exponential(mean_gap_us);
-        arrivals.push_back(t);
-    }
-
-    // Batch formation (size or timeout). CPU systems use batch size 1
-    // at the logic tier (memcached epoll batching is folded into the
-    // tier's service rate, as the paper configures uqsim).
-    int bsize = cfg.rpu ? cfg.batchSize : 1;
-    std::vector<BatchWindow> batches = formBatchWindows(
-        arrivals.data(), arrivals.size(), bsize, cfg.batchTimeoutUs);
-
-    // Tier stations. The RPU system keeps the same power budget and
-    // applies the chip-level findings: 5x the throughput, 1.2x the
-    // latency per tier.
-    double tscale = cfg.rpu ? cfg.rpuThroughputScale : 1.0;
-    double lscale = cfg.rpu ? cfg.rpuLatencyScale : 1.0;
-    Station web("web", kTidWeb, cfg.webCores / cfg.webSvcUs * tscale,
-                cfg.webSvcUs * lscale);
-    Station user("user", kTidUser,
-                 cfg.userCores / cfg.userSvcUs * tscale,
-                 cfg.userSvcUs * lscale);
-    Station mcrouter("mcrouter", kTidMcRouter,
-                     cfg.mcrouterCores / cfg.mcrouterSvcUs * tscale,
-                     cfg.mcrouterSvcUs * lscale);
-    Station memc("memc", kTidMemc,
-                 cfg.memcCores / cfg.memcSvcUs * tscale,
-                 cfg.memcSvcUs * lscale);
-
-    res.tiers = {{"web", {}, {}},
-                 {"user", {}, {}},
-                 {"mcrouter", {}, {}},
-                 {"memc", {}, {}}};
-    TierStat &webStat = res.tiers[0];
-    TierStat &userStat = res.tiers[1];
-    TierStat &mcrouterStat = res.tiers[2];
-    TierStat &memcStat = res.tiers[3];
-
-    uint64_t misses_total = 0;
-    uint64_t orphan_total = 0;
-    uint64_t req_idx = 0;
-    double last_completion = 0;
-    obs::JourneyRecorder *jrec = obs::Scope::journeys();
-    // Hoisted shard cursor: the per-request offer below is fully
-    // inline (one counter bump, one hash, one comparison).
-    obs::JourneyRecorder::Cursor jcur;
-    if (jrec)
-        jcur = jrec->cursor();
-    for (size_t bi = 0; bi < batches.size(); ++bi) {
-        const BatchWindow &b = batches[bi];
-        const double *barr = arrivals.data() + b.begin;
-        int n = static_cast<int>(b.end - b.begin);
-        if (tr && bsize > 1) {
-            tr->complete("form batch " + std::to_string(bi), "batching",
-                         barr[0], b.emitTime - barr[0], kSysPid,
-                         kTidBatchForm,
-                         {{"size", obs::jnum(
-                               static_cast<uint64_t>(n))}});
-        }
-        if (tr) {
-            for (int r = 0; r < n; ++r)
-                tr->asyncBegin("req", "request", req_idx + static_cast<uint64_t>(r),
-                               barr[r], kSysPid);
-        }
-        // Per-tier (enqueue, start, done) times of this batch, kept for
-        // journey construction. Reading them never changes the math.
-        double tierEnq[4], tierStart[4], tierDone[4];
-        double bt = b.emitTime;
-        tierEnq[0] = bt;
-        tierDone[0] = web.process(bt, n, webStat.waitUs,
-                                  webStat.serviceUs, tr, kSysPid,
-                                  &tierStart[0]);
-        bt = tierDone[0] + cfg.netUs;
-        tierEnq[1] = bt;
-        tierDone[1] = user.process(bt, n, userStat.waitUs,
-                                   userStat.serviceUs, tr, kSysPid,
-                                   &tierStart[1]);
-        bt = tierDone[1] + cfg.netUs;
-        tierEnq[2] = bt;
-        tierDone[2] = mcrouter.process(bt, n, mcrouterStat.waitUs,
-                                       mcrouterStat.serviceUs, tr,
-                                       kSysPid, &tierStart[2]);
-        bt = tierDone[2] + cfg.netUs;
-        // Reply back to the user tier.
-        tierEnq[3] = bt;
-        tierDone[3] = memc.process(bt, n, memcStat.waitUs,
-                                   memcStat.serviceUs, tr, kSysPid,
-                                   &tierStart[3]);
-        bt = tierDone[3] + cfg.netUs;
-
-        // Cache outcomes decide who must visit storage.
-        int misses = 0;
-        std::vector<bool> miss(static_cast<size_t>(n));
-        for (int r = 0; r < n; ++r) {
-            miss[static_cast<size_t>(r)] = !rng.chance(cfg.memcHitRate);
-            misses += miss[static_cast<size_t>(r)] ? 1 : 0;
-        }
-        misses_total += static_cast<uint64_t>(misses);
-
-        double hit_done = bt + cfg.netUs;  // reply to client
-        double miss_done = bt + cfg.netUs + cfg.storageSvcUs +
-            2 * cfg.netUs;
-        if (tr && misses > 0) {
-            tr->complete("storage", "sys", bt + cfg.netUs,
-                         cfg.storageSvcUs, kSysPid, kTidStorage,
-                         {{"misses", obs::jnum(
-                               static_cast<uint64_t>(misses))}});
-        }
-
-        if (jrec)
-            jcur.beginGroup(static_cast<uint64_t>(n));
-        for (int r = 0; r < n; ++r) {
-            double done;
-            if (misses == 0) {
-                done = hit_done;
-            } else if (!cfg.rpu || cfg.batchSplit) {
-                // CPU threads are independent; a split RPU batch lets
-                // hits continue past the reconvergence point.
-                done = miss[static_cast<size_t>(r)] ? miss_done : hit_done;
-            } else {
-                // Unsplit batch: everyone waits at the reconvergence
-                // point for the storage path (Fig. 17a).
-                done = miss_done;
-            }
-            double arr = barr[r];
-            double e2e = done - arr;
-            res.e2eUs.add(e2e);
-            if (tr)
-                tr->asyncEnd("req", "request", req_idx + static_cast<uint64_t>(r),
-                             done, kSysPid);
-            last_completion = std::max(last_completion, done);
-
-            // Journey capture: a cheap two-phase offer first, the event
-            // log only for accepted requests. The recorder draws nothing
-            // from `rng` and never feeds back into the simulation, so
-            // SysResult is bit-identical at any capture mode.
-            if (jrec) {
-                uint64_t rid = req_idx + static_cast<uint64_t>(r);
-                uint64_t key;
-                if (jcur.offer(rid, e2e, &key)) {
-                    bool is_miss =
-                        misses > 0 && miss[static_cast<size_t>(r)];
-                    bool blocked = misses > 0 && cfg.rpu &&
-                        !cfg.batchSplit && !is_miss;
-                    obs::Journey j;
-                    // 15 events on the hit path, up to 19 with the
-                    // storage visit; one allocation instead of a
-                    // doubling ramp.
-                    j.events.reserve(19);
-                    j.reqId = rid;
-                    j.batchId = bi;
-                    j.batchSize = static_cast<uint32_t>(n);
-                    j.miss = is_miss;
-                    j.orphan = is_miss && cfg.rpu && cfg.batchSplit;
-                    j.blockedOnBatch = blocked;
-                    auto ev = [&j](obs::JStage k, double us, int tier,
-                                   uint64_t aux = 0,
-                                   bool foreign = false) {
-                        j.events.push_back(
-                            {obs::journeyTicks(us), aux, k,
-                             static_cast<int8_t>(tier), foreign});
-                    };
-                    ev(obs::JStage::Arrival, arr, -1);
-                    ev(obs::JStage::BatchFormed, b.emitTime, -1, bi);
-                    for (int k = 0; k < 4; ++k) {
-                        ev(obs::JStage::TierEnqueue, tierEnq[k], k);
-                        ev(obs::JStage::TierStart, tierStart[k], k);
-                        ev(obs::JStage::TierDone, tierDone[k], k);
-                    }
-                    ev(obs::JStage::CacheOutcome, tierDone[3], 3,
-                       is_miss ? 1 : 0);
-                    if (is_miss) {
-                        if (j.orphan)
-                            ev(obs::JStage::SplitRetry, tierDone[3], 3,
-                               bi);
-                        double senq = bt + cfg.netUs;
-                        ev(obs::JStage::TierEnqueue, senq, 4);
-                        ev(obs::JStage::TierStart, senq, 4);
-                        ev(obs::JStage::TierDone,
-                           senq + cfg.storageSvcUs, 4);
-                        ev(obs::JStage::Completion, miss_done, -1);
-                    } else if (blocked) {
-                        ev(obs::JStage::ReconvJoin,
-                           miss_done - cfg.netUs, -1, bi, true);
-                        ev(obs::JStage::Completion, miss_done, -1);
-                    } else {
-                        ev(obs::JStage::Completion, hit_done, -1);
-                    }
-                    jrec->admit(std::move(j), key);
-                }
-            }
-        }
-        req_idx += static_cast<uint64_t>(n);
-
-        // Split orphans re-execute alone at low SIMT efficiency,
-        // consuming extra capacity at the user tier.
-        if (cfg.rpu && cfg.batchSplit && misses > 0) {
-            user.charge(misses * (cfg.orphanPenalty - 1.0));
-            orphan_total += static_cast<uint64_t>(misses);
-        }
-    }
-
-    double span_us = last_completion - arrivals.front();
-    res.achievedQps = span_us > 0 ?
-        static_cast<double>(cfg.requests) / (span_us / 1e6) : 0;
-
-    // Registry exposition: per-tier breakdown + scenario counters.
-    obs::Registry *reg = obs::Scope::registry();
-    reg->counter("sys.requests")->inc(static_cast<uint64_t>(cfg.requests));
-    reg->counter("sys.batches")->inc(batches.size());
-    reg->counter("sys.memc_misses")->inc(misses_total);
-    reg->counter("sys.split_orphans")->inc(orphan_total);
-    reg->gauge("sys.offered_qps")->set(res.offeredQps);
-    reg->gauge("sys.achieved_qps")->set(res.achievedQps);
-    reg->hist("sys.e2e_us")->record(res.e2eUs);
-    for (const auto &tier : res.tiers) {
-        obs::ShardedHist *wait =
-            reg->hist("sys." + tier.name + ".wait_us");
-        // RunningStat keeps no samples, so expose the moments the
-        // model validation story needs as gauges and fold the mean
-        // into the wait histogram per batch-equivalent.
-        reg->gauge("sys." + tier.name + ".wait_mean_us")
-            ->set(tier.waitUs.mean());
-        reg->gauge("sys." + tier.name + ".wait_max_us")
-            ->set(tier.waitUs.max());
-        reg->gauge("sys." + tier.name + ".service_mean_us")
-            ->set(tier.serviceUs.mean());
-        wait->add(tier.waitUs.mean());
-    }
-    return res;
+    return runClusterSequential(singleGraphCluster(cfg)).sys;
 }
 
 } // namespace simr::sys

@@ -1,6 +1,6 @@
 /**
  * @file
- * System-level microservice-interaction simulator (the uqsim substitute)
+ * System-level microservice-interaction scenario (the uqsim substitute)
  * for the end-to-end experiment of Fig. 22.
  *
  * Models the User scenario of the social-network graph (Fig. 3):
@@ -8,9 +8,12 @@
  *   client -> WebServer -> User -> McRouter -> Memcached --hit--> reply
  *                                                  \--miss-> Storage -> reply
  *
- * Open-loop Poisson arrivals at a configurable QPS. Each tier is a
- * rate-and-latency station: requests (or whole batches) occupy service
- * capacity 1/R at latency L, so queueing delay emerges under load.
+ * Open-loop Poisson arrivals at a configurable QPS. Each tier, storage
+ * included, is a rate-and-latency queueing station: requests (or whole
+ * batches) occupy service capacity 1/R at latency L, so queueing delay
+ * emerges under load. The scenario is the 1:1:1:1:1 topology of the
+ * cluster engine (sys/cluster.h); this header keeps the per-server tier
+ * parameters and the single-graph entry point.
  * The RPU system replaces the CPU tiers with machines of 5x the
  * throughput per watt at 1.2x the latency (the chip-level results), and
  * adds a batch-formation stage (size 32 or timeout). Batch splitting
@@ -80,7 +83,7 @@ struct SysConfig
 /** Per-tier latency breakdown (uqSim-style model validation view). */
 struct TierStat
 {
-    std::string name;          ///< "web", "user", "mcrouter", "memc"
+    std::string name;  ///< "web", "user", "mcrouter", "memc", "storage"
     RunningStat waitUs;        ///< queueing delay ahead of service
     RunningStat serviceUs;     ///< service occupancy per batch
 };
@@ -98,7 +101,9 @@ struct SysResult
 };
 
 /**
- * Simulate the User scenario at one offered load.
+ * Simulate the User scenario at one offered load: the single-graph
+ * topology (singleGraphCluster in sys/cluster.h: one server per tier,
+ * one Poisson client) on the sequential cluster engine.
  *
  * Observability: per-tier wait/occupancy histograms and scenario
  * counters are recorded into the scoped obs::Registry
@@ -109,9 +114,9 @@ struct SysResult
  * in scope (obs::Scope's third slot), every request is offered to it
  * for per-request causal journey capture (obs/journey.h): arrival,
  * batch formation, per-tier enqueue/start/done, memcached hit/miss,
- * storage visits, split retries and reconvergence stalls. Recording is
- * strictly read-only: it draws nothing from the scenario Rng and the
- * returned SysResult is bit-identical at any capture mode.
+ * storage visits, split retries and reconvergence stalls. Recording and
+ * tracing are strictly read-only: the returned SysResult is
+ * bit-identical at any capture mode.
  */
 SysResult runUserScenario(const SysConfig &cfg);
 

@@ -309,16 +309,15 @@ TEST(DataflowProof, TablesMirrorDataflowInfoForAllServices)
 
 TEST(DataflowCache, GateAndProveSharesByFingerprint)
 {
-    analysis::AnalysisCache *cache = analysis::AnalysisCache::process();
-    if (cache == nullptr)
-        GTEST_SKIP() << "SIMR_ANALYSIS_CACHE=0";
+    const analysis::AnalysisCache &cache =
+        analysis::AnalysisCache::process();
 
     auto svc = svc::buildService("memc");
     auto a1 = analysis::gateAndProve(svc->program());
-    uint64_t hits0 = cache->hits();
+    uint64_t hits0 = cache.hits();
     auto a2 = analysis::gateAndProve(svc->program());
     EXPECT_EQ(a1.get(), a2.get());            // shared, not re-analyzed
-    EXPECT_GT(cache->hits(), hits0);
+    EXPECT_GT(cache.hits(), hits0);
 
     // A different program is a different entry (fingerprint key).
     auto other = svc::buildService("post");

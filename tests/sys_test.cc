@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "obs/anatomy.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sys/cluster.h"
 #include "sys/pdes.h"
 #include "sys/uqsim.h"
@@ -121,6 +124,37 @@ TEST(Uqsim, DeterministicForSeed)
     auto b = runUserScenario(base(10, true, true));
     EXPECT_DOUBLE_EQ(a.meanUs(), b.meanUs());
     EXPECT_DOUBLE_EQ(a.p99Us(), b.p99Us());
+}
+
+TEST(Uqsim, Fig22MaxThroughputVerdict)
+{
+    // The Fig. 22 grid at default scale: the highest offered load whose
+    // p99 stays under 2.5 ms. The paper's RPU sustains ~4x the CPU
+    // system's load; without splitting the tail stays acceptable, so
+    // the unsplit system reaches at least the split one's load.
+    auto maxOk = [](bool rpu, bool split,
+                    const std::vector<double> &loads_kqps) {
+        double best = 0;
+        for (double kqps : loads_kqps) {
+            SysConfig cfg;
+            cfg.qps = kqps * 1000;
+            cfg.rpu = rpu;
+            cfg.batchSplit = split;
+            if (runUserScenario(cfg).p99Us() < 2500)
+                best = kqps;
+        }
+        return best;
+    };
+    const std::vector<double> cpu = {2, 4, 6, 8, 10, 12, 15, 18, 20, 25};
+    const std::vector<double> rpu = {5,  10, 20, 30, 40, 50,
+                                     60, 70, 80, 90, 100};
+    double cpu_max = maxOk(false, true, cpu);
+    double split_max = maxOk(true, true, rpu);
+    double nosplit_max = maxOk(true, false, rpu);
+    ASSERT_GT(cpu_max, 0.0);
+    EXPECT_GE(split_max / cpu_max, 3.5);
+    EXPECT_LE(split_max / cpu_max, 4.5);
+    EXPECT_GE(nosplit_max, split_max);
 }
 
 namespace
@@ -373,6 +407,33 @@ runClusterSequentialInScope(const ClusterConfig &cfg)
     return runClusterSequential(cfg);
 }
 
+/** Bit-identity over everything a SysResult reports. */
+void
+expectSameSys(const SysResult &a, const SysResult &b)
+{
+    EXPECT_EQ(a.offeredQps, b.offeredQps);
+    EXPECT_EQ(a.achievedQps, b.achievedQps);
+    EXPECT_TRUE(a.e2eUs.identicalTo(b.e2eUs));
+    ASSERT_EQ(a.tiers.size(), b.tiers.size());
+    for (size_t t = 0; t < a.tiers.size(); ++t) {
+        SCOPED_TRACE("tier " + a.tiers[t].name);
+        const RunningStat &aw = a.tiers[t].waitUs;
+        const RunningStat &bw = b.tiers[t].waitUs;
+        EXPECT_EQ(a.tiers[t].name, b.tiers[t].name);
+        EXPECT_EQ(aw.count(), bw.count());
+        EXPECT_EQ(aw.sum(), bw.sum());
+        EXPECT_EQ(aw.mean(), bw.mean());
+        EXPECT_EQ(aw.min(), bw.min());
+        EXPECT_EQ(aw.max(), bw.max());
+        EXPECT_EQ(aw.variance(), bw.variance());
+        const RunningStat &as = a.tiers[t].serviceUs;
+        const RunningStat &bs = b.tiers[t].serviceUs;
+        EXPECT_EQ(as.count(), bs.count());
+        EXPECT_EQ(as.sum(), bs.sum());
+        EXPECT_EQ(as.variance(), bs.variance());
+    }
+}
+
 /** Bit-identity over everything the cluster scenario reports
  *  (pdes stats excluded: they describe the engine, not the model). */
 void
@@ -382,27 +443,7 @@ expectSameCluster(const ClusterResult &a, const ClusterResult &b)
     EXPECT_EQ(a.batches, b.batches);
     EXPECT_EQ(a.memcMisses, b.memcMisses);
     EXPECT_EQ(a.splitOrphans, b.splitOrphans);
-    EXPECT_EQ(a.sys.offeredQps, b.sys.offeredQps);
-    EXPECT_EQ(a.sys.achievedQps, b.sys.achievedQps);
-    EXPECT_TRUE(a.sys.e2eUs.identicalTo(b.sys.e2eUs));
-    ASSERT_EQ(a.sys.tiers.size(), b.sys.tiers.size());
-    for (size_t t = 0; t < a.sys.tiers.size(); ++t) {
-        SCOPED_TRACE("tier " + a.sys.tiers[t].name);
-        const RunningStat &aw = a.sys.tiers[t].waitUs;
-        const RunningStat &bw = b.sys.tiers[t].waitUs;
-        EXPECT_EQ(a.sys.tiers[t].name, b.sys.tiers[t].name);
-        EXPECT_EQ(aw.count(), bw.count());
-        EXPECT_EQ(aw.sum(), bw.sum());
-        EXPECT_EQ(aw.mean(), bw.mean());
-        EXPECT_EQ(aw.min(), bw.min());
-        EXPECT_EQ(aw.max(), bw.max());
-        EXPECT_EQ(aw.variance(), bw.variance());
-        const RunningStat &as = a.sys.tiers[t].serviceUs;
-        const RunningStat &bs = b.sys.tiers[t].serviceUs;
-        EXPECT_EQ(as.count(), bs.count());
-        EXPECT_EQ(as.sum(), bs.sum());
-        EXPECT_EQ(as.variance(), bs.variance());
-    }
+    expectSameSys(a.sys, b.sys);
 }
 
 } // namespace
@@ -425,6 +466,36 @@ TEST(ClusterPdes, ShardAndThreadCountIndependence)
                     ref, runSharded(smallCluster(rpu, true), shards,
                                     threads));
             }
+    }
+}
+
+TEST(ClusterPdes, UserScenarioIsTheSingleServerTopology)
+{
+    // Fig. 22's single graph is the 1:1:1:1:1 cluster with one Poisson
+    // client: runUserScenario must report exactly what the cluster
+    // engine does on that topology, sequential or sharded.
+    for (bool rpu : {false, true}) {
+        SCOPED_TRACE(rpu ? "rpu" : "cpu");
+        SysConfig sc = base(20, rpu, true);
+        sc.requests = 6000;
+        ClusterConfig cc;
+        cc.base = sc;
+        cc.webServers = cc.userServers = cc.mcrouterServers = 1;
+        cc.memcServers = cc.storageServers = 1;
+        cc.users = 1;
+        cc.requests = 6000;
+        cc.qps = sc.qps;
+        cc.seed = sc.seed;
+        SysResult r;
+        {
+            obs::Registry reg;
+            obs::Scope scope(&reg);
+            r = runUserScenario(sc);
+        }
+        ClusterResult ref = runClusterSequentialInScope(cc);
+        EXPECT_EQ(ref.servers, 5u);
+        expectSameSys(ref.sys, r);
+        expectSameCluster(ref, runSharded(cc, 4, 4));
     }
 }
 
@@ -611,6 +682,44 @@ TEST(ClusterJourneys, FlagsAndExactDecompositionAcrossShards)
     }
     EXPECT_GT(blocked, 0u);
 }
+
+#if SIMR_OBS_TRACE
+TEST(ClusterTrace, ShardedTimelineBalancesAndNeverPerturbs)
+{
+    // Shard workers emit into one mutex-protected tracer: every
+    // request opens and closes its async span exactly once, tier spans
+    // land on the per-tier tracks, and the result is the untraced one.
+    ClusterConfig cfg = smallCluster(true, true);
+    cfg.requests = 3000;
+    ClusterResult off = runClusterSequentialInScope(cfg);
+    obs::Registry reg;
+    obs::Tracer tr;
+    ClusterResult traced;
+    {
+        obs::Scope scope(&reg, &tr);
+        ClusterConfig sharded = cfg;
+        sharded.shards = 8;
+        sharded.threads = 4;
+        traced = runCluster(sharded);
+    }
+    expectSameCluster(off, traced);
+    uint64_t opened = 0, closed = 0, storage = 0, batching = 0;
+    for (const auto &e : tr.events()) {
+        if (e.ph == 'b')
+            ++opened;
+        else if (e.ph == 'e')
+            ++closed;
+        else if (e.ph == 'X' && e.cat == "sys" && e.tid == 6)
+            ++storage;
+        else if (e.ph == 'X' && e.cat == "batching")
+            ++batching;
+    }
+    EXPECT_EQ(opened, cfg.requests);
+    EXPECT_EQ(closed, cfg.requests);
+    EXPECT_GT(storage, 0u);
+    EXPECT_EQ(batching, traced.batches);
+}
+#endif
 
 TEST(ClusterJourneys, CaptureNeverPerturbsClusterResult)
 {
