@@ -7,10 +7,11 @@
  * with the event-driven cycle-skipping loop -- and
  *
  *  1. gates that every reported statistic of every cell is bit-identical
- *     between the two modes (cycles, IPC inputs, the full latency
- *     histogram, every counter, and all cache/TLB/BP/MCU stats;
- *     CoreResult::skippedCycles / skipJumps are diagnostics of the loop
- *     itself and deliberately excluded), and
+ *     between the two modes: the TimingRun records of simr/records.h
+ *     (cycles, IPC inputs, the full latency histogram, every counter,
+ *     all cache/TLB/BP/MCU stats and energy; CoreResult::skippedCycles
+ *     / skipJumps are diagnostics of the loop itself and deliberately
+ *     excluded), printing the differing keys of any diverged cell, and
  *  2. measures simulation speed (simulated kilo-instructions per wall
  *     second) per config and the event-driven speedup.
  *
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "simr/records.h"
 
 using namespace simr;
 using namespace simr::bench;
@@ -45,7 +47,6 @@ struct ConfigRow
     double kopsEvent = 0;
     double skippedFrac = 0; ///< skipped cycles / total cycles (event mode)
     bool identical = true;
-    std::vector<std::string> diverged;
 };
 
 /**
@@ -88,15 +89,14 @@ compareConfig(const core::CoreConfig &cfg, const TimingOptions &opt,
     uint64_t insts = 0, cycles = 0, skipped = 0, jumps = 0;
     const auto &names = svc::serviceNames();
     for (size_t i = 0; i < ref.size(); ++i) {
-        if (!sameCoreResult(ref[i].core, event[i].core)) {
-            row.identical = false;
-            row.diverged.push_back(names[i]);
-        }
+        const std::string cell = names[i] + "/" + cfg.name;
+        row.identical =
+            identicalRecords(stderr, cell, ref[i], event[i]) && row.identical;
         if (ref[i].core.skippedCycles != 0) {
             // The reference loop must never skip: that would mean the
             // gate compared event-driven against itself.
+            std::fprintf(stderr, "%s: reference loop skipped\n", cell.c_str());
             row.identical = false;
-            row.diverged.push_back(names[i] + "(ref-skipped)");
         }
         insts += event[i].core.scalarInsts;
         cycles += event[i].core.cycles;
@@ -142,13 +142,9 @@ main(int argc, char **argv)
     }
 
     if (verify_only) {
-        for (const auto &r : rows) {
-            std::printf("%-10s %s", r.name.c_str(),
-                        r.identical ? "identical" : "DIVERGED:");
-            for (const auto &s : r.diverged)
-                std::printf(" %s", s.c_str());
-            std::printf("\n");
-        }
+        for (const auto &r : rows)
+            std::printf("%-10s %s\n", r.name.c_str(),
+                        r.identical ? "identical" : "DIVERGED");
         std::printf("core_event_driven_gate: %s (14 services x %zu "
                     "configs, %d requests)\n",
                     all_identical ? "PASS" : "FAIL", cfgs.size(),

@@ -18,8 +18,10 @@ main()
     opt.requests = static_cast<int>(scale.timingRequests);
     opt.seed = scale.seed;
 
-    auto rpu_runs = runAllServices(core::makeRpuConfig(), opt);
-    auto smt_runs = runAllServices(core::makeSmt8Config(), opt);
+    const auto runs = runAllServices(
+        {core::makeRpuConfig(), core::makeSmt8Config()}, opt);
+    const auto &rpu_runs = runs[0];
+    const auto &smt_runs = runs[1];
 
     Table t("Figure 19: requests/joule relative to single-threaded CPU "
             "(" + std::to_string(opt.requests) + " requests/service)");

@@ -20,7 +20,7 @@ main()
     opt.requests = static_cast<int>(scale.timingRequests);
     opt.seed = scale.seed;
 
-    auto runs = runAllServices(core::makeRpuConfig(), opt);
+    const auto runs = runAllServices({core::makeRpuConfig()}, opt)[0];
 
     Table t("Figure 21: latency-contributing metrics (RPU vs CPU)");
     t.header({"service", "L1 traffic", "avg mem latency", "CPU IPC",

@@ -21,8 +21,10 @@ main()
     opt.requests = static_cast<int>(scale.timingRequests);
     opt.seed = scale.seed;
 
-    auto gpu_runs = runAllServices(core::makeGpuConfig(), opt);
-    auto rpu_runs = runAllServices(core::makeRpuConfig(), opt);
+    const auto runs = runAllServices(
+        {core::makeGpuConfig(), core::makeRpuConfig()}, opt);
+    const auto &gpu_runs = runs[0];
+    const auto &rpu_runs = runs[1];
 
     Table t("GPU vs RPU vs CPU (energy efficiency and latency)");
     t.header({"service", "GPU req/J", "GPU latency", "RPU req/J",

@@ -2,8 +2,8 @@
  * @file
  * Harness scaling micro-bench: wall-clock for the full 14-service RPU
  * timing sweep at 1/2/4/N harness threads, plus a cross-thread-count
- * determinism check (per-service TimingRun statistics must be
- * bit-identical at any worker count -- the harness contract).
+ * determinism check (per-service TimingRun records, simr/records.h,
+ * must be bit-identical at any worker count -- the harness contract).
  *
  * Emits a machine-readable summary both to stdout (one line prefixed
  * "BENCH_harness.json: ") and to the file BENCH_harness.json in the
@@ -15,27 +15,10 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "simr/records.h"
 
 using namespace simr;
 using namespace simr::bench;
-
-namespace
-{
-
-/** Fields that must match bit-for-bit between two sweeps. */
-bool
-sameRun(const TimingRun &a, const TimingRun &b)
-{
-    return a.core.cycles == b.core.cycles &&
-        a.core.batchOps == b.core.batchOps &&
-        a.core.scalarInsts == b.core.scalarInsts &&
-        a.core.requests == b.core.requests &&
-        a.core.reqLatency.mean() == b.core.reqLatency.mean() &&
-        a.core.reqLatency.max() == b.core.reqLatency.max() &&
-        a.energy.total() == b.energy.total();
-}
-
-} // namespace
 
 int
 main()
@@ -73,7 +56,12 @@ main()
             reference = runs;
         } else {
             for (size_t i = 0; i < runs.size(); ++i)
-                same = same && sameRun(reference[i], runs[i]);
+                same = identicalRecords(stderr,
+                                        cells[i].service + " at " +
+                                            std::to_string(nt) +
+                                            " threads",
+                                        reference[i], runs[i]) &&
+                    same;
         }
         all_same = all_same && same;
         t.row({std::to_string(nt), Table::num(s, 2),

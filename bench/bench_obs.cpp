@@ -23,17 +23,17 @@
  *
  * A second section measures the journey recorder (obs/journey.h) on
  * the system simulator: the always-on sampled mode against journeys
- * off and SIMR_JOURNEYS=all. Sampled-mode overhead IS gated (<2%;
+ * off and full capture. Sampled-mode overhead IS gated (<2%;
  * thread cputime over ABBA blocks to shed scheduler noise, order
  * effects and clock drift), and SysResult must be
  * bit-identical in all three modes -- recording may never perturb the
  * simulation.
  *
  * With --verify-journeys the bench instead runs the ctest determinism
- * gate: every scenario cell's SysResult (all histograms, all tier
- * stats) must be bit-identical with journeys off / sampled / full, at
- * harness thread counts 1 and 4, and the sampled journey set itself
- * must not depend on the thread count.
+ * gate: every scenario cell's SysResult records (simr/records.h: all
+ * histograms, all tier stats) must be bit-identical with journeys off /
+ * sampled / full, at harness thread counts 1 and 4, and the sampled
+ * journey set itself must not depend on the thread count.
  *
  * Emits BENCH_obs.json (stdout line + file). Exit code 1 on a
  * determinism failure or a blown journey overhead budget; the lockstep
@@ -54,6 +54,7 @@
 #include "obs/journey.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
+#include "simr/records.h"
 #include "sys/uqsim.h"
 
 using namespace simr;
@@ -67,44 +68,6 @@ struct ModeResult
     double secs = 0;
     simt::SimtStats stats;
 };
-
-bool
-sameStats(const simt::SimtStats &a, const simt::SimtStats &b)
-{
-    return a.batchOps == b.batchOps && a.scalarOps == b.scalarOps &&
-        a.maskedSlots == b.maskedSlots &&
-        a.divergeEvents == b.divergeEvents &&
-        a.reconvMerges == b.reconvMerges &&
-        a.pathSwitches == b.pathSwitches && a.batches == b.batches;
-}
-
-bool
-sameRunningStat(const RunningStat &a, const RunningStat &b)
-{
-    return a.count() == b.count() && a.sum() == b.sum() &&
-        a.mean() == b.mean() && a.min() == b.min() &&
-        a.max() == b.max() && a.variance() == b.variance();
-}
-
-/** Bit-identity over everything runUserScenario reports. */
-bool
-sameSysResult(const sys::SysResult &a, const sys::SysResult &b)
-{
-    if (a.offeredQps != b.offeredQps || a.achievedQps != b.achievedQps)
-        return false;
-    if (!a.e2eUs.identicalTo(b.e2eUs))
-        return false;
-    if (a.tiers.size() != b.tiers.size())
-        return false;
-    for (size_t i = 0; i < a.tiers.size(); ++i) {
-        if (a.tiers[i].name != b.tiers[i].name ||
-            !sameRunningStat(a.tiers[i].waitUs, b.tiers[i].waitUs) ||
-            !sameRunningStat(a.tiers[i].serviceUs,
-                             b.tiers[i].serviceUs))
-            return false;
-    }
-    return true;
-}
 
 /**
  * Thread CPU time. The journey overhead measurement resolves
@@ -136,7 +99,7 @@ struct SysCell
 
 sys::SysResult
 runSysCell(const SysCell &cell, int requests, uint64_t seed,
-           obs::JourneyMode mode, std::vector<uint64_t> *sampled_ids)
+           obs::JourneyMode mode, std::vector<obs::Journey> *journeys)
 {
     sys::SysConfig cfg;
     cfg.qps = cell.qps;
@@ -149,11 +112,8 @@ runSysCell(const SysCell &cell, int requests, uint64_t seed,
     obs::Scope scope(&reg, nullptr,
                      mode == obs::JourneyMode::Off ? nullptr : &rec);
     sys::SysResult r = sys::runUserScenario(cfg);
-    if (sampled_ids) {
-        sampled_ids->clear();
-        for (const auto &j : rec.snapshot())
-            sampled_ids->push_back(j.reqId);
-    }
+    if (journeys)
+        *journeys = rec.snapshot();
     return r;
 }
 
@@ -182,10 +142,10 @@ verifyJourneys(uint64_t seed)
                                  obs::JourneyMode::Off, nullptr));
 
     bool ok = true;
-    std::vector<std::vector<uint64_t>> sampled_ref(cells.size());
+    std::vector<std::vector<obs::Journey>> sampled_ref(cells.size());
     for (int threads : {1, 4}) {
         for (obs::JourneyMode mode : modes) {
-            std::vector<std::vector<uint64_t>> ids(cells.size());
+            std::vector<std::vector<obs::Journey>> js(cells.size());
             std::vector<size_t> idx(cells.size());
             for (size_t i = 0; i < cells.size(); ++i)
                 idx[i] = i;
@@ -194,28 +154,22 @@ verifyJourneys(uint64_t seed)
                 [&](size_t i) {
                     return runSysCell(
                         cells[i], requests, seed, mode,
-                        mode == obs::JourneyMode::Sampled ? &ids[i]
+                        mode == obs::JourneyMode::Sampled ? &js[i]
                                                           : nullptr);
                 },
                 threads);
             for (size_t i = 0; i < cells.size(); ++i) {
-                if (!sameSysResult(ref[i], results[i])) {
-                    std::fprintf(stderr,
-                                 "journey gate: cell %zu perturbed "
-                                 "(mode %s, %d threads)\n", i,
-                                 obs::journeyModeName(mode), threads);
-                    ok = false;
-                }
-            }
-            if (mode == obs::JourneyMode::Sampled) {
-                if (threads == 1) {
-                    sampled_ref = ids;
-                } else if (ids != sampled_ref) {
-                    std::fprintf(stderr,
-                                 "journey gate: sampled set depends "
-                                 "on thread count\n");
-                    ok = false;
-                }
+                const std::string at = "journey gate: cell " +
+                    std::to_string(i) + ", mode " +
+                    obs::journeyModeName(mode) + ", " +
+                    std::to_string(threads) + " threads";
+                ok = identicalRecords(stderr, at, ref[i], results[i]) && ok;
+                if (mode == obs::JourneyMode::Sampled && threads == 1)
+                    sampled_ref[i] = js[i];
+                else if (mode == obs::JourneyMode::Sampled)
+                    ok = identicalRecords(stderr, at + " journeys",
+                                          sampled_ref[i], js[i]) &&
+                        ok;
             }
         }
     }
@@ -292,8 +246,11 @@ main(int argc, char **argv)
         ModeResult prof = timeMode(1);
         ModeResult traced = timeMode(2);
 
-        bool same = sameStats(off.stats, prof.stats) &&
-            sameStats(off.stats, traced.stats);
+        bool same =
+            identicalRecords(stderr, name + " profile", off.stats,
+                             prof.stats) &&
+            identicalRecords(stderr, name + " trace", off.stats,
+                             traced.stats);
         all_ok = all_ok && same;
         off_total += off.secs;
         prof_total += prof.secs;
@@ -386,8 +343,9 @@ main(int argc, char **argv)
                 rep == 0 ? secs : std::min(asecs[m], secs);
         }
     }
-    bool journeys_identical = sameSysResult(jres[0], jres[1]) &&
-        sameSysResult(ares[0], ares[1]);
+    bool journeys_identical =
+        identicalRecords(stderr, "journeys sampled", jres[0], jres[1]) &&
+        identicalRecords(stderr, "journeys all", ares[0], ares[1]);
     double journey_pct = 100.0 * (jmed - 1.0);
     double journey_all_pct = asecs[0] > 0 ?
         100.0 * (asecs[1] - asecs[0]) / asecs[0] : 0.0;

@@ -5,11 +5,12 @@
  * --verify (ctest sys_pdes_gate): the sharded PDES cluster engine must
  * be bit-identical to the sequential reference -- achieved QPS, the
  * end-to-end latency histogram, every per-tier statistic, the scenario
- * counters and the sampled journey set -- across shard counts {1, 4,
- * 16} x worker threads {1, 4}, over RPU-split / RPU-unsplit / CPU
- * cells plus a bursty cell with a deliberately tiny mailbox (so the
- * overflow-spill backpressure path is exercised under the same
- * bit-identity contract). Nonzero exit on any divergence.
+ * counters and the sampled journey set, as rendered by simr/records.h
+ * -- across shard counts {1, 4, 16} x worker threads {1, 4}, over
+ * RPU-split / RPU-unsplit / CPU cells plus a bursty cell with a
+ * deliberately tiny mailbox (so the overflow-spill backpressure path is
+ * exercised under the same bit-identity contract). Nonzero exit on any
+ * divergence, with the differing keys printed.
  *
  * Default mode: wall-clock scaling on a datacenter-scale cell
  * (>= 1000 simulated servers, >= 1M open-loop users) -- the sequential
@@ -29,6 +30,7 @@
 #include "bench_common.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
+#include "simr/records.h"
 #include "sys/cluster.h"
 #include "sys/uqsim.h"
 
@@ -37,72 +39,6 @@ using namespace simr::bench;
 
 namespace
 {
-
-bool
-sameRunningStat(const RunningStat &a, const RunningStat &b)
-{
-    return a.count() == b.count() && a.sum() == b.sum() &&
-        a.mean() == b.mean() && a.min() == b.min() &&
-        a.max() == b.max() && a.variance() == b.variance();
-}
-
-/** Bit-identity over everything the scenario reports. */
-bool
-sameSysResult(const sys::SysResult &a, const sys::SysResult &b)
-{
-    if (a.offeredQps != b.offeredQps || a.achievedQps != b.achievedQps)
-        return false;
-    if (!a.e2eUs.identicalTo(b.e2eUs))
-        return false;
-    if (a.tiers.size() != b.tiers.size())
-        return false;
-    for (size_t i = 0; i < a.tiers.size(); ++i) {
-        if (a.tiers[i].name != b.tiers[i].name ||
-            !sameRunningStat(a.tiers[i].waitUs, b.tiers[i].waitUs) ||
-            !sameRunningStat(a.tiers[i].serviceUs,
-                             b.tiers[i].serviceUs))
-            return false;
-    }
-    return true;
-}
-
-bool
-sameCluster(const sys::ClusterResult &a, const sys::ClusterResult &b)
-{
-    // PdesStats are engine diagnostics (windows, mailbox traffic) and
-    // legitimately vary with sharding; everything else must not.
-    return a.servers == b.servers && a.batches == b.batches &&
-        a.memcMisses == b.memcMisses &&
-        a.splitOrphans == b.splitOrphans && sameSysResult(a.sys, b.sys);
-}
-
-/** Full structural identity of the sampled journey sets. */
-bool
-sameJourneys(const std::vector<obs::Journey> &a,
-             const std::vector<obs::Journey> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const obs::Journey &x = a[i];
-        const obs::Journey &y = b[i];
-        if (x.reqId != y.reqId || x.batchId != y.batchId ||
-            x.batchSize != y.batchSize || x.miss != y.miss ||
-            x.orphan != y.orphan ||
-            x.blockedOnBatch != y.blockedOnBatch ||
-            x.events.size() != y.events.size())
-            return false;
-        for (size_t e = 0; e < x.events.size(); ++e) {
-            const obs::JourneyEvent &u = x.events[e];
-            const obs::JourneyEvent &v = y.events[e];
-            if (u.tick != v.tick || u.aux != v.aux ||
-                u.kind != v.kind || u.tier != v.tier ||
-                u.foreign != v.foreign)
-                return false;
-        }
-    }
-    return true;
-}
 
 /** One engine run under a fresh observability scope. shards == 0 runs
  *  the sequential reference engine. */
@@ -201,20 +137,16 @@ verifyPdes(uint64_t seed)
                 std::vector<obs::Journey> js;
                 sys::ClusterResult r = runOne(cell.cfg, s, t, &js);
                 overflows_seen += r.pdes.mailboxOverflows;
-                if (!sameCluster(ref, r)) {
-                    std::fprintf(stderr,
-                                 "sys_pdes_gate: cell %s diverged at "
-                                 "%d shards, %d threads\n",
-                                 cell.name, s, t);
-                    ok = false;
-                }
-                if (!sameJourneys(ref_j, js)) {
-                    std::fprintf(stderr,
-                                 "sys_pdes_gate: cell %s journey set "
-                                 "diverged at %d shards, %d threads\n",
-                                 cell.name, s, t);
-                    ok = false;
-                }
+                const std::string at = std::string(cell.name) + " at " +
+                    std::to_string(s) + " shards, " + std::to_string(t) +
+                    " threads";
+                ok = identicalRecords(stderr, "sys_pdes_gate: " + at, ref,
+                                      r) &&
+                    ok;
+                ok = identicalRecords(stderr,
+                                      "sys_pdes_gate: journeys " + at,
+                                      ref_j, js) &&
+                    ok;
             }
         }
     }
@@ -259,9 +191,9 @@ runScaling(uint64_t seed)
     cfg.memcServers = 256;
     cfg.storageServers = 32;
     cfg.users = static_cast<uint64_t>(
-        envInt("SIMR_SYS_BENCH_USERS", 1000000));
+        envInt("SIMR_SYS_BENCH_USERS", 1000000, 1));
     cfg.requests = static_cast<uint64_t>(
-        envInt("SIMR_SYS_BENCH_REQUESTS", 2000000));
+        envInt("SIMR_SYS_BENCH_REQUESTS", 2000000, 1));
     cfg.qps = 4e6;
     cfg.seed = seed;
 
@@ -274,7 +206,7 @@ runScaling(uint64_t seed)
         [&] { seq = runOne(cfg, 0, 1, nullptr); });
     double par_s = wallSeconds(
         [&] { par = runOne(cfg, par_shards, par_threads, nullptr); });
-    bool same = sameCluster(seq, par);
+    bool same = identicalRecords(stderr, "sequential vs pdes", seq, par);
     double speedup = par_s > 0 ? seq_s / par_s : 0;
 
     // No-regression canary: the Fig. 22 single-graph cell.

@@ -26,9 +26,8 @@
  * Commands that run experiments also accept --metrics FILE to dump the
  * run's metric registry (text exposition) to a file.
  *
- * Exit codes: 0 success, 1 usage error, 2 unknown service or bad
- * cluster flag value, 3 analysis findings / profiler inconsistency,
- * 4 I/O failure.
+ * Exit codes: 0 success, 1 usage error, 2 unknown service or bad flag
+ * value, 3 analysis findings / profiler inconsistency, 4 I/O failure.
  */
 
 #include <algorithm>
@@ -38,7 +37,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <memory>
 #include <string>
+#include <type_traits>
 
 #include "analysis/analyzer.h"
 #include "analysis/cache.h"
@@ -115,21 +117,84 @@ usage()
     return 1;
 }
 
-/** Resolve a --config name; empty CoreConfig::name signals bad input. */
-core::CoreConfig
-configByName(const std::string &cfg_name)
+/**
+ * Strict numeric flag: keeps `*out` when the flag is absent, else
+ * requires the whole value to parse as a finite number in [lo, hi]
+ * (and to be whole when T is integral). Prints why and returns false
+ * on anything else.
+ */
+template <typename T>
+bool
+numFlag(int argc, char **argv, const char *name, double lo, double hi, T *out)
 {
-    if (cfg_name == "cpu")
-        return core::makeCpuConfig();
-    if (cfg_name == "smt8")
-        return core::makeSmt8Config();
-    if (cfg_name == "rpu")
-        return core::makeRpuConfig();
-    if (cfg_name == "gpu")
-        return core::makeGpuConfig();
-    core::CoreConfig bad;
-    bad.name = "";
-    return bad;
+    constexpr bool integral = std::is_integral_v<T>;
+    if (!has(argc, argv, name))
+        return true;
+    std::string v = flag(argc, argv, name, "");
+    char *end = nullptr;
+    double x = v.empty() ? 0 : std::strtod(v.c_str(), &end);
+    if (v.empty() || *end != '\0' || !std::isfinite(x) || x < lo ||
+        x > hi || (integral && x != std::floor(x))) {
+        std::fprintf(stderr, "%s: expected %s in [%g, %g], got '%s'\n",
+                     name, integral ? "an integer" : "a number", lo, hi,
+                     v.c_str());
+        return false;
+    }
+    *out = static_cast<T>(x);
+    return true;
+}
+
+/**
+ * Strict choice flag: keeps `*out` when the flag is absent, else
+ * requires the value to be one of `choices`. Prints the choices and
+ * returns false on anything else.
+ */
+bool
+choiceFlag(int argc, char **argv, const char *name,
+           std::initializer_list<const char *> choices, std::string *out)
+{
+    if (!has(argc, argv, name))
+        return true;
+    std::string v = flag(argc, argv, name, "");
+    std::string list;
+    for (const char *c : choices) {
+        if (v == c) {
+            *out = v;
+            return true;
+        }
+        list += (list.empty() ? "" : "|") + std::string(c);
+    }
+    std::fprintf(stderr, "%s: expected one of %s, got '%s'\n", name,
+                 list.c_str(), v.c_str());
+    return false;
+}
+
+/** --config cpu|smt8|rpu|gpu (default rpu); false on any other name. */
+bool
+configFlag(int argc, char **argv, core::CoreConfig *out)
+{
+    std::string name = "rpu";
+    if (!choiceFlag(argc, argv, "--config", {"cpu", "smt8", "rpu", "gpu"},
+                    &name))
+        return false;
+    *out = name == "cpu" ? core::makeCpuConfig() :
+        name == "smt8" ? core::makeSmt8Config() :
+        name == "gpu" ? core::makeGpuConfig() : core::makeRpuConfig();
+    return true;
+}
+
+/** Upper bound of every chip-level --requests flag. */
+constexpr double kMaxRequests = 1e8;
+
+/** Build a registered service; prints why when the name is unknown. */
+std::unique_ptr<svc::Service>
+findService(const std::string &name)
+{
+    auto svc = svc::buildService(name);
+    if (!svc)
+        std::fprintf(stderr, "unknown service '%s' (simr_cli list)\n",
+                     name.c_str());
+    return svc;
 }
 
 /**
@@ -262,7 +327,7 @@ cmdAnalyze(const std::string &target, int argc, char **argv)
     int total_warnings = 0;
     bool cross_ok = true;
     for (const auto &n : names) {
-        auto svc = svc::buildService(n);
+        auto svc = findService(n);
         if (!svc)
             return 2;
         auto report = analysis::analyze(svc->program());
@@ -320,22 +385,27 @@ cmdAnalyze(const std::string &target, int argc, char **argv)
 int
 cmdEfficiency(const std::string &name, int argc, char **argv)
 {
-    auto svc = svc::buildService(name);
+    std::string pol = "arg";
+    std::string rc = "minsp";
+    int width = 32;
+    int n = 2400;
+    if (!choiceFlag(argc, argv, "--policy", {"naive", "api", "arg"}, &pol) ||
+        !choiceFlag(argc, argv, "--reconv", {"stack", "minsp"}, &rc) ||
+        !numFlag(argc, argv, "--batch", 1, trace::kMaxBatch, &width) ||
+        !numFlag(argc, argv, "--requests", 1, kMaxRequests, &n))
+        return 2;
+    auto svc = findService(name);
     if (!svc)
         return 2;
 
     obs::Registry reg;
     obs::Scope scope(&reg);
 
-    std::string pol = flag(argc, argv, "--policy", "arg");
     batch::Policy policy = pol == "naive" ? batch::Policy::Naive :
         pol == "api" ? batch::Policy::PerApi :
         batch::Policy::PerApiArgSize;
-    std::string rc = flag(argc, argv, "--reconv", "minsp");
     auto reconv = rc == "stack" ? simt::ReconvPolicy::StackIpdom
                                 : simt::ReconvPolicy::MinSpPc;
-    int width = std::stoi(flag(argc, argv, "--batch", "32"));
-    int n = std::stoi(flag(argc, argv, "--requests", "2400"));
 
     auto r = measureEfficiency(*svc, policy, reconv, width, n, 42);
     Table t("SIMT efficiency: " + name);
@@ -355,23 +425,23 @@ cmdEfficiency(const std::string &name, int argc, char **argv)
 int
 cmdTiming(const std::string &name, int argc, char **argv)
 {
-    auto svc = svc::buildService(name);
+    core::CoreConfig cfg;
+    TimingOptions opt;
+    std::string alloc = "simr";
+    if (!configFlag(argc, argv, &cfg) ||
+        !numFlag(argc, argv, "--requests", 1, kMaxRequests, &opt.requests) ||
+        !choiceFlag(argc, argv, "--alloc", {"glibc", "simr"}, &alloc) ||
+        !numFlag(argc, argv, "--batch", 0, trace::kMaxBatch,
+                 &opt.batchOverride))
+        return 2;
+    opt.alloc = alloc == "glibc" ? mem::AllocPolicy::GlibcLike
+                                 : mem::AllocPolicy::SimrAware;
+    auto svc = findService(name);
     if (!svc)
         return 2;
 
     obs::Registry reg;
     obs::Scope scope(&reg);
-
-    core::CoreConfig cfg =
-        configByName(flag(argc, argv, "--config", "rpu"));
-    if (cfg.name.empty())
-        return usage();
-
-    TimingOptions opt;
-    opt.requests = std::stoi(flag(argc, argv, "--requests", "512"));
-    opt.alloc = flag(argc, argv, "--alloc", "simr") == "glibc" ?
-        mem::AllocPolicy::GlibcLike : mem::AllocPolicy::SimrAware;
-    opt.batchOverride = std::stoi(flag(argc, argv, "--batch", "0"));
 
     auto run = runTiming(*svc, cfg, opt);
     Table t("timing: " + name + " on " + cfg.name);
@@ -397,7 +467,7 @@ cmdTiming(const std::string &name, int argc, char **argv)
 int
 cmdTune(const std::string &name)
 {
-    auto svc = svc::buildService(name);
+    auto svc = findService(name);
     if (!svc)
         return 2;
     auto r = tune::tuneBatchSize(*svc);
@@ -414,17 +484,16 @@ cmdTune(const std::string &name)
 int
 cmdSweep(int argc, char **argv)
 {
+    core::CoreConfig cfg;
+    TimingOptions opt;
+    int threads = 0;
+    if (!configFlag(argc, argv, &cfg) ||
+        !numFlag(argc, argv, "--requests", 1, kMaxRequests, &opt.requests) ||
+        !numFlag(argc, argv, "--threads", 0, 4096, &threads))
+        return 2;
+
     obs::Registry reg;
     obs::Scope scope(&reg);
-
-    core::CoreConfig cfg =
-        configByName(flag(argc, argv, "--config", "rpu"));
-    if (cfg.name.empty())
-        return usage();
-
-    TimingOptions opt;
-    opt.requests = std::stoi(flag(argc, argv, "--requests", "512"));
-    int threads = std::stoi(flag(argc, argv, "--threads", "0"));
 
     std::vector<Cell> cells;
     for (const auto &n : svc::serviceNames())
@@ -467,32 +536,6 @@ clusterTopology(int servers)
 }
 
 /**
- * Strict numeric flag: keeps `*out` when the flag is absent, else
- * requires the whole value to parse as a finite number in [lo, hi]
- * (and to be integral when `integral`). Prints why and returns false
- * on anything else.
- */
-bool
-numFlag(int argc, char **argv, const char *name, double lo, double hi,
-        bool integral, double *out)
-{
-    if (!has(argc, argv, name))
-        return true;
-    std::string v = flag(argc, argv, name, "");
-    char *end = nullptr;
-    double x = v.empty() ? 0 : std::strtod(v.c_str(), &end);
-    if (v.empty() || *end != '\0' || !std::isfinite(x) || x < lo ||
-        x > hi || (integral && x != std::floor(x))) {
-        std::fprintf(stderr, "%s: expected %s in [%g, %g], got '%s'\n",
-                     name, integral ? "an integer" : "a number", lo, hi,
-                     v.c_str());
-        return false;
-    }
-    *out = x;
-    return true;
-}
-
-/**
  * cluster: the social-network User scenario on the PDES cluster
  * engine. With no flags it is Fig. 22's single graph: one server per
  * tier and one Poisson client (what runUserScenario simulates);
@@ -508,31 +551,22 @@ cmdCluster(int argc, char **argv)
     sys::SysConfig graph;
     graph.qps = 10000;
     sys::ClusterConfig cc = sys::singleGraphCluster(graph);
-    double servers = 0;
-    double users = static_cast<double>(cc.users);
-    double requests = static_cast<double>(cc.requests);
-    double shards = 0, threads = 0;
-    if (!numFlag(argc, argv, "--qps", 0.001, 1e12, false, &cc.qps) ||
-        !numFlag(argc, argv, "--servers", 5, 1e6, true, &servers) ||
-        !numFlag(argc, argv, "--users", 1, 1e9, true, &users) ||
-        !numFlag(argc, argv, "--requests", 1, UINT32_MAX - 1.0, true,
-                 &requests) ||
-        !numFlag(argc, argv, "--shards", 0, 4096, true, &shards) ||
-        !numFlag(argc, argv, "--threads", 0, 4096, true, &threads))
+    int servers = 0;
+    if (!numFlag(argc, argv, "--qps", 0.001, 1e12, &cc.qps) ||
+        !numFlag(argc, argv, "--servers", 5, 1e6, &servers) ||
+        !numFlag(argc, argv, "--users", 1, 1e9, &cc.users) ||
+        !numFlag(argc, argv, "--requests", 1, UINT32_MAX - 1.0, &cc.requests) ||
+        !numFlag(argc, argv, "--shards", 0, 4096, &cc.shards) ||
+        !numFlag(argc, argv, "--threads", 0, 4096, &cc.threads))
         return 2;
     if (servers > 0) {
-        sys::ClusterConfig scaled =
-            clusterTopology(static_cast<int>(servers));
+        sys::ClusterConfig scaled = clusterTopology(servers);
         cc.webServers = scaled.webServers;
         cc.userServers = scaled.userServers;
         cc.mcrouterServers = scaled.mcrouterServers;
         cc.memcServers = scaled.memcServers;
         cc.storageServers = scaled.storageServers;
     }
-    cc.users = static_cast<uint64_t>(users);
-    cc.requests = static_cast<uint64_t>(requests);
-    cc.shards = static_cast<int>(shards);
-    cc.threads = static_cast<int>(threads);
     cc.base.rpu = has(argc, argv, "--rpu");
     cc.base.batchSplit = !has(argc, argv, "--nosplit");
     auto r = sys::runCluster(cc);
@@ -576,24 +610,25 @@ cmdCluster(int argc, char **argv)
 int
 cmdStats(const std::string &service, int argc, char **argv)
 {
+    core::CoreConfig cfg;
+    TimingOptions opt;
+    opt.requests = 256;
+    int threads = 0;
+    if (!configFlag(argc, argv, &cfg) ||
+        !numFlag(argc, argv, "--requests", 1, kMaxRequests, &opt.requests) ||
+        !numFlag(argc, argv, "--threads", 0, 4096, &threads))
+        return 2;
+
     obs::Registry reg;
     obs::Scope scope(&reg);
 
-    core::CoreConfig cfg =
-        configByName(flag(argc, argv, "--config", "rpu"));
-    if (cfg.name.empty())
-        return usage();
-    TimingOptions opt;
-    opt.requests = std::stoi(flag(argc, argv, "--requests", "256"));
-
     if (service.empty()) {
-        int threads = std::stoi(flag(argc, argv, "--threads", "0"));
         std::vector<Cell> cells;
         for (const auto &n : svc::serviceNames())
             cells.push_back({n, cfg, opt});
         runCells(cells, threads);
     } else {
-        auto svc = svc::buildService(service);
+        auto svc = findService(service);
         if (!svc)
             return 2;
         runTiming(*svc, cfg, opt);
@@ -657,44 +692,41 @@ traceChipLevel(const svc::Service &svc, const std::string &name,
 int
 cmdTrace(const std::string &target, int argc, char **argv)
 {
+    core::CoreConfig chip_cfg;
+    int requests = 256;
+    int top_n = 5;
+    double qps = 10000;
+    if (!configFlag(argc, argv, &chip_cfg) ||
+        !numFlag(argc, argv, "--requests", 1, kMaxRequests, &requests) ||
+        !numFlag(argc, argv, "--top", 1, 1e6, &top_n) ||
+        !numFlag(argc, argv, "--qps", 0.001, 1e12, &qps))
+        return 2;
+    std::string out = flag(argc, argv, "--out", "run.json");
+
     obs::Registry reg;
     obs::Tracer tracer;
     obs::Scope scope(&reg, &tracer);
 
-    // Fetch through the scope: compiled-out builds (SIMR_OBS_TRACE=0)
-    // return null here and cannot trace.
-    obs::Tracer *tr = obs::Scope::tracer();
-    if (!tr) {
-        std::fprintf(stderr,
-                     "tracing is compiled out (SIMR_OBS_TRACE=0); "
-                     "rebuild with -DSIMR_OBS_TRACE=ON\n");
-        return 1;
-    }
-
-    std::string out = flag(argc, argv, "--out", "run.json");
-    int requests = std::stoi(flag(argc, argv, "--requests", "256"));
-    int top_n = std::stoi(flag(argc, argv, "--top", "5"));
-
     if (target == "social_network") {
         // Chip level: the logic tier the scenario batches for, with the
         // per-batch anatomy rows kept for the cross-layer flow arrows.
-        auto svc = svc::buildService("user");
+        auto svc = findService("user");
         if (!svc)
             return 2;
         obs::BatchAnatomyRecorder chip;
-        traceChipLevel(*svc, "user", tr, svc->traits().tunedBatch,
+        traceChipLevel(*svc, "user", &tracer, svc->traits().tunedBatch,
                        requests, top_n, &chip);
 
         // Cluster level: the uqsim User scenario on the RPU system,
         // with journey capture for the sampled tail.
         sys::SysConfig cfg;
-        cfg.qps = std::stod(flag(argc, argv, "--qps", "10000"));
+        cfg.qps = qps;
         cfg.requests = requests * 8;
         cfg.rpu = true;
-        obs::JourneyRecorder jrec(obs::journeyModeFromEnv(), 64);
+        obs::JourneyRecorder jrec(obs::JourneyMode::Sampled, 64);
         sys::SysResult r;
         {
-            obs::Scope jscope(&reg, tr, &jrec);
+            obs::Scope jscope(&reg, &tracer, &jrec);
             r = sys::runUserScenario(cfg);
         }
         std::printf("cluster: %.0f offered qps, %.0f achieved, "
@@ -721,24 +753,20 @@ cmdTrace(const std::string &target, int argc, char **argv)
                 const auto &row =
                     rows[static_cast<size_t>(j.batchId) % rows.size()];
                 uint64_t id = 0x1000000 + j.reqId;
-                tr->flowStart("batch link", "link", id,
-                              obs::journeyUs(user_start->tick), 2, 3);
-                tr->flowEnd("batch link", "link", id,
-                            static_cast<double>(row.startOp), 1, 1);
+                tracer.flowStart("batch link", "link", id,
+                                 obs::journeyUs(user_start->tick), 2, 3);
+                tracer.flowEnd("batch link", "link", id,
+                               static_cast<double>(row.startOp), 1, 1);
                 ++emitted;
             }
         }
     } else {
-        auto svc = svc::buildService(target);
+        auto svc = findService(target);
         if (!svc)
             return 2;
-        core::CoreConfig cfg =
-            configByName(flag(argc, argv, "--config", "rpu"));
-        if (cfg.name.empty())
-            return usage();
-        int width = std::min(cfg.batchWidth,
+        int width = std::min(chip_cfg.batchWidth,
                              svc->traits().tunedBatch);
-        traceChipLevel(*svc, target, tr, width, requests, top_n);
+        traceChipLevel(*svc, target, &tracer, width, requests, top_n);
     }
 
     if (!tracer.writeFile(out)) {
@@ -772,21 +800,28 @@ cmdAnatomy(const std::string &target, int argc, char **argv)
     }
 
     bool json = has(argc, argv, "--json");
-    double qps = std::stod(flag(argc, argv, "--qps", "10000"));
-    int requests = std::stoi(flag(argc, argv, "--requests", "20000"));
+    double qps = 10000;
+    int requests = 20000;
+    int servers = 13;
+    int shards = 0;
+    std::string mode_s = "sampled";
+    if (!numFlag(argc, argv, "--qps", 0.001, 1e12, &qps) ||
+        !numFlag(argc, argv, "--requests", 1, kMaxRequests, &requests) ||
+        !numFlag(argc, argv, "--servers", 5, 1e6, &servers) ||
+        !numFlag(argc, argv, "--shards", 0, 4096, &shards) ||
+        !choiceFlag(argc, argv, "--mode", {"off", "sampled", "all"}, &mode_s))
+        return 2;
     bool at_scale = has(argc, argv, "--servers") ||
         has(argc, argv, "--shards");
-    std::string mode_s = flag(argc, argv, "--mode", "");
     obs::JourneyMode mode = mode_s == "off" ? obs::JourneyMode::Off :
         mode_s == "all" ? obs::JourneyMode::All :
-        mode_s == "sampled" ? obs::JourneyMode::Sampled :
-        obs::journeyModeFromEnv();
+        obs::JourneyMode::Sampled;
 
     obs::Registry reg;
     obs::Scope scope(&reg);
 
     // Chip-level attribution for the batched logic tier (tier 1: user).
-    auto svc = svc::buildService("user");
+    auto svc = findService("user");
     if (!svc)
         return 2;
     obs::BatchAnatomyRecorder chip;
@@ -805,12 +840,11 @@ cmdAnatomy(const std::string &target, int argc, char **argv)
         if (at_scale) {
             // Drill into a sharded cluster-scale run: same journey
             // event shape, so the decomposition works unchanged.
-            sys::ClusterConfig cc = clusterTopology(
-                std::stoi(flag(argc, argv, "--servers", "13")));
+            sys::ClusterConfig cc = clusterTopology(servers);
             cc.base.rpu = runs[i].rpu;
             cc.qps = qps;
             cc.requests = static_cast<uint64_t>(requests);
-            cc.shards = std::stoi(flag(argc, argv, "--shards", "0"));
+            cc.shards = shards;
             obs::Scope inner(&reg, nullptr, &rec);
             r = sys::runCluster(cc).sys;
         } else {
@@ -851,12 +885,16 @@ cmdAnatomy(const std::string &target, int argc, char **argv)
 int
 cmdHotspots(const std::string &target, int argc, char **argv)
 {
+    int top_n = 10;
+    int requests = 2400;
+    int width = 32;
+    if (!numFlag(argc, argv, "--top", 1, 1e6, &top_n) ||
+        !numFlag(argc, argv, "--requests", 1, kMaxRequests, &requests) ||
+        !numFlag(argc, argv, "--batch", 1, trace::kMaxBatch, &width))
+        return 2;
+
     obs::Registry reg;
     obs::Scope scope(&reg);
-
-    int top_n = std::stoi(flag(argc, argv, "--top", "10"));
-    int requests = std::stoi(flag(argc, argv, "--requests", "2400"));
-    int width = std::stoi(flag(argc, argv, "--batch", "32"));
 
     std::vector<std::string> names;
     if (target == "--all")
@@ -866,7 +904,7 @@ cmdHotspots(const std::string &target, int argc, char **argv)
 
     bool consistent = true;
     for (const auto &n : names) {
-        auto svc = svc::buildService(n);
+        auto svc = findService(n);
         if (!svc)
             return 2;
         obs::DivergenceProfiler prof(svc->program());
@@ -929,35 +967,24 @@ main(int argc, char **argv)
         std::string service;
         if (argc >= 3 && argv[2][0] != '-')
             service = argv[2];
-        int rc = cmdStats(service, argc, argv);
-        if (rc == 2)
-            std::fprintf(stderr,
-                         "unknown service '%s' (simr_cli list)\n",
-                         service.c_str());
-        return rc;
+        return cmdStats(service, argc, argv);
     }
     if (argc < 3)
         return usage();
     std::string service = argv[2];
-    int rc = 1;
     if (cmd == "analyze")
-        rc = cmdAnalyze(service, argc, argv);
-    else if (cmd == "efficiency")
-        rc = cmdEfficiency(service, argc, argv);
-    else if (cmd == "timing")
-        rc = cmdTiming(service, argc, argv);
-    else if (cmd == "tune")
-        rc = cmdTune(service);
-    else if (cmd == "trace")
-        rc = cmdTrace(service, argc, argv);
-    else if (cmd == "anatomy")
-        rc = cmdAnatomy(service, argc, argv);
-    else if (cmd == "hotspots")
-        rc = cmdHotspots(service, argc, argv);
-    else
-        return usage();
-    if (rc == 2)
-        std::fprintf(stderr, "unknown service '%s' (simr_cli list)\n",
-                     service.c_str());
-    return rc;
+        return cmdAnalyze(service, argc, argv);
+    if (cmd == "efficiency")
+        return cmdEfficiency(service, argc, argv);
+    if (cmd == "timing")
+        return cmdTiming(service, argc, argv);
+    if (cmd == "tune")
+        return cmdTune(service);
+    if (cmd == "trace")
+        return cmdTrace(service, argc, argv);
+    if (cmd == "anatomy")
+        return cmdAnatomy(service, argc, argv);
+    if (cmd == "hotspots")
+        return cmdHotspots(service, argc, argv);
+    return usage();
 }

@@ -9,19 +9,16 @@
 #define SIMR_COMMON_CONFIG_H
 
 #include <cstdint>
-#include <string>
 
 namespace simr
 {
 
-/** Read an integer environment variable, falling back to a default. */
-int64_t envInt(const char *name, int64_t fallback);
-
-/** Read a double environment variable, falling back to a default. */
-double envDouble(const char *name, double fallback);
-
-/** Read a string environment variable, falling back to a default. */
-std::string envStr(const char *name, const std::string &fallback);
+/**
+ * Read an integer environment variable; unset or empty means
+ * `fallback`. A value that is not a whole decimal integer >= `min`
+ * (`abc`, `-5`) is a user error: prints why and exits with code 2.
+ */
+int64_t envInt(const char *name, int64_t fallback, int64_t min = 0);
 
 /**
  * Global run-scale knobs.

@@ -169,25 +169,28 @@ class Histogram
      */
     void merge(const Histogram &o);
 
+    /** The samples in ascending order (a copy; insertion order is
+     *  not part of a histogram's identity -- percentile()'s lazy sort
+     *  permutes it). */
+    std::vector<double>
+    sortedSamples() const
+    {
+        std::vector<double> s = samples_;
+        std::sort(s.begin(), s.end());
+        return s;
+    }
+
     /**
      * Exact sample-level equality: same count and the same multiset of
-     * samples, compared bit-for-bit after sorting (insertion order is
-     * not part of the identity -- percentile()'s lazy sort permutes
-     * it). The determinism gates use this to assert result histograms
-     * are identical across observability modes and thread counts.
+     * samples, compared bit-for-bit after sorting.
      */
     bool
     identicalTo(const Histogram &o) const
     {
-        if (stat_.count() != o.stat_.count())
-            return false;
-        std::vector<double> a = samples_;
-        std::vector<double> b = o.samples_;
-        std::sort(a.begin(), a.end());
-        std::sort(b.begin(), b.end());
-        return a.empty() ||
-            std::memcmp(a.data(), b.data(),
-                        a.size() * sizeof(double)) == 0;
+        const std::vector<double> a = sortedSamples(), b = o.sortedSamples();
+        return a.size() == b.size() &&
+            (a.empty() ||
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
     }
 
     void

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/rng.h"
 
@@ -23,21 +21,6 @@ journeyShardId()
 }
 
 } // namespace
-
-JourneyMode
-journeyModeFromEnv(JourneyMode fallback)
-{
-    const char *v = std::getenv("SIMR_JOURNEYS");
-    if (!v)
-        return fallback;
-    if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0)
-        return JourneyMode::Off;
-    if (std::strcmp(v, "all") == 0)
-        return JourneyMode::All;
-    if (std::strcmp(v, "sampled") == 0)
-        return JourneyMode::Sampled;
-    return fallback;
-}
 
 const char *
 journeyModeName(JourneyMode m)

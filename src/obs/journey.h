@@ -24,8 +24,9 @@
  * and one comparison (latency-biased reservoir sampling, A-ES keys:
  * key = latency / Exp(1), deterministic per reqId), and only accepted
  * requests pay for building the event log. The always-on sampled mode
- * stays under the 2% overhead budget (gated by bench_obs);
- * SIMR_JOURNEYS=all captures every request for deep drill-downs.
+ * stays under the 2% overhead budget (gated by bench_obs); All mode
+ * (`simr_cli anatomy --mode all`) captures every request for deep
+ * drill-downs.
  *
  * Determinism: sampling keys depend only on (reqId, latency, seed),
  * never on thread scheduling; each shard keeps its local top-K and
@@ -53,15 +54,12 @@
 namespace simr::obs
 {
 
-/** Journey capture mode (SIMR_JOURNEYS=off|sampled|all). */
+/** Journey capture mode (`simr_cli anatomy --mode off|sampled|all`). */
 enum class JourneyMode : uint8_t {
     Off,      ///< recorder inert, zero per-request work
     Sampled,  ///< latency-biased reservoir (the always-on default)
     All,      ///< full capture of every request (debug drill-downs)
 };
-
-/** Parse SIMR_JOURNEYS; unset or unknown values mean `fallback`. */
-JourneyMode journeyModeFromEnv(JourneyMode fallback = JourneyMode::Sampled);
 
 const char *journeyModeName(JourneyMode m);
 
@@ -159,14 +157,12 @@ class JourneyRecorder
 {
   public:
     /**
-     * @param mode      capture mode; defaults to SIMR_JOURNEYS (or
-     *                  Sampled when unset)
+     * @param mode      capture mode
      * @param capacity  reservoir size (per shard and for the merged
      *                  snapshot); ignored in All mode
      * @param seed      sampling-key salt (deterministic per reqId)
      */
-    explicit JourneyRecorder(JourneyMode mode = journeyModeFromEnv(),
-                             size_t capacity = 512,
+    explicit JourneyRecorder(JourneyMode mode, size_t capacity = 512,
                              uint64_t seed = 0x1009e5);
     ~JourneyRecorder();
     JourneyRecorder(const JourneyRecorder &) = delete;

@@ -261,11 +261,7 @@ Scope::registry()
 Tracer *
 Scope::tracer()
 {
-#if SIMR_OBS_TRACE
     return tlTracer;
-#else
-    return nullptr;
-#endif
 }
 
 JourneyRecorder *

@@ -18,12 +18,8 @@
  * Timestamps are microseconds. Chip-level traces use virtual time
  * (1 batch-op = 1us on a per-engine track); the system simulator uses
  * its own simulated microseconds, so its timeline is physically
- * meaningful.
- *
- * Compile-time sink selection: with -DSIMR_OBS_TRACE=0 the Scope never
- * exposes a tracer, every emission site short-circuits on a constant
- * null, and instrumented binaries are bit-identical in behaviour to
- * pre-observability ones.
+ * meaningful. With no tracer in scope every emission site
+ * short-circuits on a null pointer.
  */
 
 #ifndef SIMR_OBS_TRACE_H

@@ -83,7 +83,7 @@ struct ClusterConfig
     double burstScale = 8.0;
 
     // Engine.
-    int shards = 0;   ///< 0: SIMR_SYS_SHARDS, else defaultThreads()
+    int shards = 0;   ///< 0: defaultThreads()
     int threads = 0;  ///< 0: defaultThreads() (SIMR_THREADS-aware)
     int mailboxCapacity = 256;  ///< ring slots per shard pair
 
@@ -124,8 +124,8 @@ ClusterConfig singleGraphCluster(const SysConfig &cfg);
 
 /**
  * Run the cluster scenario on the sharded PDES engine. Shards resolve
- * from cfg.shards, then SIMR_SYS_SHARDS, then defaultThreads();
- * workers from cfg.threads, then defaultThreads().
+ * from cfg.shards, else defaultThreads(); workers from cfg.threads,
+ * else defaultThreads().
  */
 ClusterResult runCluster(const ClusterConfig &cfg);
 

@@ -313,10 +313,18 @@ TEST(Config, EnvFallbacks)
     EXPECT_EQ(envInt("SIMR_TEST_INT", 42), 42);
     setenv("SIMR_TEST_INT", "17", 1);
     EXPECT_EQ(envInt("SIMR_TEST_INT", 42), 17);
+    // Anything but a whole number >= min exits 2 with a message.
+    for (const char *bad : {"abc", "-5", "12x", " 7"}) {
+        setenv("SIMR_TEST_INT", bad, 1);
+        EXPECT_EXIT(envInt("SIMR_TEST_INT", 42),
+                    ::testing::ExitedWithCode(2), "expected an integer >= 0")
+            << bad;
+    }
+    setenv("SIMR_TEST_INT", "0", 1);
+    EXPECT_EQ(envInt("SIMR_TEST_INT", 42), 0);
+    EXPECT_EXIT(envInt("SIMR_TEST_INT", 42, 1), ::testing::ExitedWithCode(2),
+                "expected an integer >= 1");
     unsetenv("SIMR_TEST_INT");
-
-    EXPECT_DOUBLE_EQ(envDouble("SIMR_TEST_DBL", 1.5), 1.5);
-    EXPECT_EQ(envStr("SIMR_TEST_STR", "dflt"), "dflt");
 }
 
 TEST(Config, RunScaleFromEnv)

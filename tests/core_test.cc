@@ -11,6 +11,7 @@
 #include "core/bpred.h"
 #include "core/counters.h"
 #include "core/pipeline.h"
+#include "simr/records.h"
 #include "simr/runner.h"
 
 using namespace simr;
@@ -328,20 +329,8 @@ TEST(EventDriven, MatchesReferenceLoop)
             auto evt = runTiming(*svc, cfg, opt);
 
             EXPECT_EQ(ref.core.skippedCycles, 0u) << cfg.name;
-            EXPECT_EQ(ref.core.cycles, evt.core.cycles)
-                << name << "/" << cfg.name;
-            EXPECT_EQ(ref.core.scalarInsts, evt.core.scalarInsts)
-                << name << "/" << cfg.name;
-            EXPECT_EQ(ref.core.requests, evt.core.requests)
-                << name << "/" << cfg.name;
-            EXPECT_EQ(ref.core.counters.all(), evt.core.counters.all())
-                << name << "/" << cfg.name;
-            EXPECT_DOUBLE_EQ(ref.core.reqLatency.mean(),
-                             evt.core.reqLatency.mean())
-                << name << "/" << cfg.name;
-            EXPECT_EQ(ref.core.hierStats.mshrMerges,
-                      evt.core.hierStats.mshrMerges)
-                << name << "/" << cfg.name;
+            EXPECT_TRUE(identicalRecords(stderr, name + "/" + cfg.name,
+                                         ref, evt));
         }
     }
 }

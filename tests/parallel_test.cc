@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.h"
+#include "simr/records.h"
 #include "simr/runner.h"
 
 using namespace simr;
@@ -142,29 +143,6 @@ TEST(CellSeed, PureFunctionOfIdentity)
     EXPECT_EQ(cellSeed(42, "post", cpu), cellSeed(42, "post", rpu));
 }
 
-namespace
-{
-
-/** The stats the determinism contract pins, compared bit-for-bit. */
-void
-expectIdenticalRuns(const simr::TimingRun &a, const simr::TimingRun &b)
-{
-    EXPECT_EQ(a.core.cycles, b.core.cycles);
-    EXPECT_EQ(a.core.batchOps, b.core.batchOps);
-    EXPECT_EQ(a.core.scalarInsts, b.core.scalarInsts);
-    EXPECT_EQ(a.core.requests, b.core.requests);
-    EXPECT_EQ(a.core.reqLatency.count(), b.core.reqLatency.count());
-    EXPECT_EQ(a.core.reqLatency.mean(), b.core.reqLatency.mean());
-    EXPECT_EQ(a.core.reqLatency.percentile(0.99),
-              b.core.reqLatency.percentile(0.99));
-    EXPECT_EQ(a.core.l1Stats.accesses, b.core.l1Stats.accesses);
-    EXPECT_EQ(a.core.l1Stats.misses, b.core.l1Stats.misses);
-    EXPECT_EQ(a.energy.total(), b.energy.total());
-    EXPECT_EQ(a.reqPerJoule(), b.reqPerJoule());
-}
-
-} // namespace
-
 TEST(RunCells, DeterministicAcrossThreadCounts)
 {
     TimingOptions opt;
@@ -184,14 +162,15 @@ TEST(RunCells, DeterministicAcrossThreadCounts)
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE("cell " + std::to_string(i));
-        expectIdenticalRuns(serial[i], parallel[i]);
+        EXPECT_TRUE(identicalRecords(stderr, "cell " + std::to_string(i),
+                                     serial[i], parallel[i]));
     }
 
     // And a second parallel sweep agrees too (no run-to-run jitter).
     auto again = runCells(cells, hw > 2 ? 2 : hw);
     for (size_t i = 0; i < serial.size(); ++i)
-        expectIdenticalRuns(serial[i], again[i]);
+        EXPECT_TRUE(identicalRecords(stderr, "cell " + std::to_string(i),
+                                     serial[i], again[i]));
 }
 
 TEST(SpscRing, FifoOrderAndCapacityRounding)

@@ -1,13 +1,20 @@
 /**
  * @file
  * Tests for the experiment-runner facade: request generation, SIMT
- * efficiency measurement (the Fig. 4 / Fig. 11 machinery), timing runs
- * and the cache studies (Figs. 14 / 15).
+ * efficiency measurement (the Fig. 4 / Fig. 11 machinery), timing runs,
+ * the cache studies (Figs. 14 / 15) and the result-identity records.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "simr/cachestudy.h"
+#include "simr/records.h"
 #include "simr/runner.h"
 #include "simr/tuner.h"
 
@@ -218,4 +225,77 @@ TEST(GpgpuExtension, SpmdKernelIsSimtPerfect)
                                  simt::ReconvPolicy::MinSpPc, 32, 320,
                                  5);
     EXPECT_GT(eff.efficiency(), 0.97);
+}
+
+// Result identity (simr/records.h): identical copies diff empty and one
+// changed field names exactly its key. (Loop diagnostics stay out of
+// the records: EventDriven.MatchesReferenceLoop diffs runs whose
+// skippedCycles differ.)
+
+namespace
+{
+
+/** The one key a diff names: "" when empty, else "<n> keys". */
+std::string
+changedKey(const Records &want, const Records &got)
+{
+    const auto d = compare(want, got);
+    return d.empty() ? "" :
+        d.size() == 1 ? d[0].key : std::to_string(d.size()) + " keys";
+}
+
+} // namespace
+
+TEST(Records, TimingRunDiffNamesTheChangedField)
+{
+    const TimingRun run;
+    const Records ref = recordsOf(run);
+    EXPECT_EQ(changedKey(ref, recordsOf(run)), "");
+    using Edit = std::function<void(core::CoreResult &)>;
+    const std::vector<std::pair<std::string, Edit>> edits = {
+        {"batch_ops", [](core::CoreResult &c) { ++c.batchOps; }},
+        {"counters_fnv", [](core::CoreResult &c) { c.counters.add("x"); }},
+        {"l1_writebacks", [](core::CoreResult &c) { ++c.l1Stats.writebacks; }},
+        {"mcu_divergent", [](core::CoreResult &c) { ++c.mcuStats.divergent; }},
+        {"mshr_merges", [](core::CoreResult &c) { ++c.hierStats.mshrMerges; }},
+        {"tlb_misses", [](core::CoreResult &c) { ++c.tlbStats.misses; }},
+        {"bp_majority_votes",
+         [](core::CoreResult &c) { ++c.bpStats.majorityVotes; }},
+    };
+    for (const auto &[key, edit] : edits) {
+        TimingRun copy = run;
+        edit(copy.core);
+        EXPECT_EQ(changedKey(ref, recordsOf(copy)), key);
+    }
+}
+
+TEST(Records, SimtStatsDiffNamesTheChangedField)
+{
+    const simt::SimtStats s;
+    const Records ref = recordsOf(s);
+    EXPECT_EQ(changedKey(ref, recordsOf(s)), "");
+    simt::SimtStats c = s;
+    ++c.spinEscapes;
+    EXPECT_EQ(changedKey(ref, recordsOf(c)), "spin_escapes");
+    c = s;
+    ++c.hintViolations;
+    EXPECT_EQ(changedKey(ref, recordsOf(c)), "hint_violations");
+    c = s;
+    c.width = 8;
+    EXPECT_EQ(changedKey(ref, recordsOf(c)), "width");
+}
+
+TEST(Records, KeyedDiffIsExactAndNamesMissingAndUnexpectedKeys)
+{
+    Records want, got;
+    want.u64("a", 1);
+    want.f64("b", 0.1);
+    got.f64("b", std::nextafter(0.1, 1.0));
+    got.hex("c", 0xff);
+    const auto d = compare(want, got);
+    ASSERT_EQ(d.size(), 3u);
+    EXPECT_EQ(d[0].key + "=" + d[0].want + "/" + d[0].got, "a=1/");
+    EXPECT_EQ(d[1].key, "b") << "one ULP is a difference";
+    EXPECT_EQ(d[2].key + "=" + d[2].want + "/" + d[2].got,
+              "c=/0x00000000000000ff");
 }

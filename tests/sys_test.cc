@@ -3,19 +3,22 @@
  * Tests for the system-level (uqsim-substitute) simulator: unloaded
  * latency composition, queueing under load, batch splitting effects,
  * throughput relationships, and journey capture: exact per-request
- * latency decomposition, scenario-consistent journey flags, and the
+ * latency decomposition, scenario-consistent journey flags, the
  * no-perturbation invariant (SysResult bit-identical with journeys
- * off, sampled or full).
+ * off, sampled or full) and the system results' identity records.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/anatomy.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "simr/records.h"
 #include "sys/cluster.h"
 #include "sys/pdes.h"
 #include "sys/uqsim.h"
@@ -122,8 +125,7 @@ TEST(Uqsim, DeterministicForSeed)
 {
     auto a = runUserScenario(base(10, true, true));
     auto b = runUserScenario(base(10, true, true));
-    EXPECT_DOUBLE_EQ(a.meanUs(), b.meanUs());
-    EXPECT_DOUBLE_EQ(a.p99Us(), b.p99Us());
+    EXPECT_TRUE(identicalRecords(stderr, "same seed", a, b));
 }
 
 TEST(Uqsim, Fig22MaxThroughputVerdict)
@@ -273,19 +275,8 @@ TEST(UqsimJourneys, CaptureNeverPerturbsSysResult)
     auto mid = runWithJourneys(cfg, &sampled);
     obs::JourneyRecorder all(obs::JourneyMode::All, 64);
     auto full = runWithJourneys(cfg, &all);
-    for (const auto *r : {&mid, &full}) {
-        EXPECT_DOUBLE_EQ(r->achievedQps, off.achievedQps);
-        EXPECT_TRUE(r->e2eUs.identicalTo(off.e2eUs));
-        ASSERT_EQ(r->tiers.size(), off.tiers.size());
-        for (size_t t = 0; t < off.tiers.size(); ++t) {
-            EXPECT_EQ(r->tiers[t].waitUs.count(),
-                      off.tiers[t].waitUs.count());
-            EXPECT_DOUBLE_EQ(r->tiers[t].waitUs.sum(),
-                             off.tiers[t].waitUs.sum());
-            EXPECT_DOUBLE_EQ(r->tiers[t].serviceUs.sum(),
-                             off.tiers[t].serviceUs.sum());
-        }
-    }
+    EXPECT_TRUE(identicalRecords(stderr, "journeys sampled", off, mid));
+    EXPECT_TRUE(identicalRecords(stderr, "journeys all", off, full));
 }
 
 // ---------------------------------------------------------------------
@@ -407,45 +398,6 @@ runClusterSequentialInScope(const ClusterConfig &cfg)
     return runClusterSequential(cfg);
 }
 
-/** Bit-identity over everything a SysResult reports. */
-void
-expectSameSys(const SysResult &a, const SysResult &b)
-{
-    EXPECT_EQ(a.offeredQps, b.offeredQps);
-    EXPECT_EQ(a.achievedQps, b.achievedQps);
-    EXPECT_TRUE(a.e2eUs.identicalTo(b.e2eUs));
-    ASSERT_EQ(a.tiers.size(), b.tiers.size());
-    for (size_t t = 0; t < a.tiers.size(); ++t) {
-        SCOPED_TRACE("tier " + a.tiers[t].name);
-        const RunningStat &aw = a.tiers[t].waitUs;
-        const RunningStat &bw = b.tiers[t].waitUs;
-        EXPECT_EQ(a.tiers[t].name, b.tiers[t].name);
-        EXPECT_EQ(aw.count(), bw.count());
-        EXPECT_EQ(aw.sum(), bw.sum());
-        EXPECT_EQ(aw.mean(), bw.mean());
-        EXPECT_EQ(aw.min(), bw.min());
-        EXPECT_EQ(aw.max(), bw.max());
-        EXPECT_EQ(aw.variance(), bw.variance());
-        const RunningStat &as = a.tiers[t].serviceUs;
-        const RunningStat &bs = b.tiers[t].serviceUs;
-        EXPECT_EQ(as.count(), bs.count());
-        EXPECT_EQ(as.sum(), bs.sum());
-        EXPECT_EQ(as.variance(), bs.variance());
-    }
-}
-
-/** Bit-identity over everything the cluster scenario reports
- *  (pdes stats excluded: they describe the engine, not the model). */
-void
-expectSameCluster(const ClusterResult &a, const ClusterResult &b)
-{
-    EXPECT_EQ(a.servers, b.servers);
-    EXPECT_EQ(a.batches, b.batches);
-    EXPECT_EQ(a.memcMisses, b.memcMisses);
-    EXPECT_EQ(a.splitOrphans, b.splitOrphans);
-    expectSameSys(a.sys, b.sys);
-}
-
 } // namespace
 
 TEST(ClusterPdes, ShardAndThreadCountIndependence)
@@ -462,9 +414,10 @@ TEST(ClusterPdes, ShardAndThreadCountIndependence)
             for (int threads : {1, 4}) {
                 SCOPED_TRACE(std::to_string(shards) + " shards, " +
                              std::to_string(threads) + " threads");
-                expectSameCluster(
-                    ref, runSharded(smallCluster(rpu, true), shards,
-                                    threads));
+                EXPECT_TRUE(identicalRecords(
+                    stderr, "sharded", ref,
+                    runSharded(smallCluster(rpu, true), shards,
+                               threads)));
             }
     }
 }
@@ -494,8 +447,9 @@ TEST(ClusterPdes, UserScenarioIsTheSingleServerTopology)
         }
         ClusterResult ref = runClusterSequentialInScope(cc);
         EXPECT_EQ(ref.servers, 5u);
-        expectSameSys(ref.sys, r);
-        expectSameCluster(ref, runSharded(cc, 4, 4));
+        EXPECT_TRUE(identicalRecords(stderr, "single graph", ref.sys, r));
+        EXPECT_TRUE(
+            identicalRecords(stderr, "sharded", ref, runSharded(cc, 4, 4)));
     }
 }
 
@@ -511,7 +465,7 @@ TEST(ClusterPdes, ZeroLookaheadDegeneratesToSequential)
     EXPECT_EQ(r.pdes.shards, 1);
     EXPECT_EQ(r.pdes.workers, 1);
     EXPECT_EQ(r.pdes.mailboxSends, 0u);
-    expectSameCluster(ref, r);
+    EXPECT_TRUE(identicalRecords(stderr, "sharded", ref, r));
 }
 
 TEST(ClusterPdes, MailboxOverflowBackpressureIsInvisible)
@@ -525,7 +479,7 @@ TEST(ClusterPdes, MailboxOverflowBackpressureIsInvisible)
     ClusterResult r = runSharded(cfg, 16, 4);
     EXPECT_GT(r.pdes.mailboxSends, 0u);
     EXPECT_GT(r.pdes.mailboxOverflows, 0u);
-    expectSameCluster(ref, r);
+    EXPECT_TRUE(identicalRecords(stderr, "sharded", ref, r));
 }
 
 namespace
@@ -683,7 +637,6 @@ TEST(ClusterJourneys, FlagsAndExactDecompositionAcrossShards)
     EXPECT_GT(blocked, 0u);
 }
 
-#if SIMR_OBS_TRACE
 TEST(ClusterTrace, ShardedTimelineBalancesAndNeverPerturbs)
 {
     // Shard workers emit into one mutex-protected tracer: every
@@ -702,7 +655,7 @@ TEST(ClusterTrace, ShardedTimelineBalancesAndNeverPerturbs)
         sharded.threads = 4;
         traced = runCluster(sharded);
     }
-    expectSameCluster(off, traced);
+    EXPECT_TRUE(identicalRecords(stderr, "traced", off, traced));
     uint64_t opened = 0, closed = 0, storage = 0, batching = 0;
     for (const auto &e : tr.events()) {
         if (e.ph == 'b')
@@ -719,7 +672,6 @@ TEST(ClusterTrace, ShardedTimelineBalancesAndNeverPerturbs)
     EXPECT_GT(storage, 0u);
     EXPECT_EQ(batching, traced.batches);
 }
-#endif
 
 TEST(ClusterJourneys, CaptureNeverPerturbsClusterResult)
 {
@@ -730,5 +682,61 @@ TEST(ClusterJourneys, CaptureNeverPerturbsClusterResult)
     ClusterResult off = runClusterSequentialInScope(cfg);
     obs::JourneyRecorder rec(obs::JourneyMode::All, 64);
     ClusterResult full = runClusterWithJourneys(cfg, 8, 4, &rec);
-    expectSameCluster(off, full);
+    EXPECT_TRUE(identicalRecords(stderr, "journeys all", off, full));
+}
+
+// Result identity (simr/records.h) of the system results: one changed
+// field names exactly its key. (PdesStats stay out of the records:
+// ClusterPdes.MailboxOverflowBackpressureIsInvisible diffs runs whose
+// mailbox statistics differ.)
+
+namespace
+{
+
+/** The one key a diff names: "" when empty, else "<n> keys". */
+std::string
+changedKey(const Records &want, const Records &got)
+{
+    const auto d = compare(want, got);
+    return d.empty() ? "" :
+        d.size() == 1 ? d[0].key : std::to_string(d.size()) + " keys";
+}
+
+} // namespace
+
+TEST(Records, SysAndClusterDiffNamesTheChangedField)
+{
+    ClusterConfig cfg = smallCluster(true, true);
+    cfg.requests = 2000;
+    const ClusterResult run = runClusterSequentialInScope(cfg);
+    const Records ref = recordsOf(run);
+    EXPECT_EQ(changedKey(ref, recordsOf(run)), "");
+    ClusterResult c = run;
+    c.sys.achievedQps += 1;
+    EXPECT_EQ(changedKey(ref, recordsOf(c)), "achieved_qps");
+    c = run;
+    ++c.splitOrphans;
+    EXPECT_EQ(changedKey(ref, recordsOf(c)), "split_orphans");
+    c = run;
+    std::swap(c.sys.tiers[0], c.sys.tiers[1]);
+    EXPECT_EQ(changedKey(ref, recordsOf(c)), "2 keys") << "tier order";
+}
+
+TEST(Records, JourneySetDiffNamesTheChangedJourney)
+{
+    ClusterConfig cfg = smallCluster(true, true);
+    cfg.requests = 2000;
+    obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 16);
+    runClusterWithJourneys(cfg, 1, 1, &rec);
+    const std::vector<obs::Journey> js = rec.snapshot();
+    ASSERT_GE(js.size(), 4u);
+    ASSERT_GE(js[3].events.size(), 3u);
+    const Records ref = recordsOf(js);
+    EXPECT_EQ(changedKey(ref, recordsOf(js)), "");
+    std::vector<obs::Journey> c = js;
+    c[0].orphan = !c[0].orphan;
+    EXPECT_EQ(changedKey(ref, recordsOf(c)), "journey/0/orphan");
+    c = js;
+    c[3].events[2].foreign = !c[3].events[2].foreign;
+    EXPECT_EQ(changedKey(ref, recordsOf(c)), "journey/3/events_fnv");
 }
