@@ -25,15 +25,17 @@
  */
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "common/config.h"
+#include "common/table.h"
+#include "simr/runner.h"
 #include "simr/records.h"
 
 using namespace simr;
-using namespace simr::bench;
 
 namespace
 {

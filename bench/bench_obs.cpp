@@ -49,7 +49,10 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "common/config.h"
+#include "common/parallel.h"
+#include "common/table.h"
+#include "simr/runner.h"
 #include "obs/divergence.h"
 #include "obs/journey.h"
 #include "obs/spans.h"
@@ -58,7 +61,6 @@
 #include "sys/uqsim.h"
 
 using namespace simr;
-using namespace simr::bench;
 
 namespace
 {

@@ -23,11 +23,14 @@
  */
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "bench_common.h"
+#include "common/config.h"
+#include "common/parallel.h"
+#include "common/table.h"
 #include "obs/journey.h"
 #include "obs/metrics.h"
 #include "simr/records.h"
@@ -35,7 +38,6 @@
 #include "sys/uqsim.h"
 
 using namespace simr;
-using namespace simr::bench;
 
 namespace
 {

@@ -1,33 +1,11 @@
 /**
  * @file
- * simr_cli: run any experiment from the command line.
+ * simr_cli: run any experiment from the command line. Without
+ * arguments it prints every subcommand's syntax (kSyntax below).
  *
- *   simr_cli list
- *   simr_cli analyze <service>|--all [--json] [--dataflow]
- *            [--crosscheck]
- *   simr_cli efficiency <service> [--policy naive|api|arg]
- *            [--reconv stack|minsp] [--batch N] [--requests N]
- *   simr_cli timing <service> --config cpu|smt8|rpu|gpu [--requests N]
- *            [--alloc glibc|simr] [--batch N]
- *   simr_cli tune <service>
- *   simr_cli sweep [--config cpu|smt8|rpu|gpu] [--requests N]
- *            [--threads N]
- *   simr_cli cluster [--qps N] [--rpu] [--nosplit] [--servers N]
- *            [--users N] [--requests N] [--shards N] [--threads N]
- *   simr_cli stats [service] [--json] [--config cpu|smt8|rpu|gpu]
- *            [--requests N] [--threads N]
- *   simr_cli trace <service>|social_network [--out FILE]
- *            [--config rpu|gpu] [--requests N] [--qps N]
- *   simr_cli anatomy social_network [--json] [--qps N] [--requests N]
- *            [--mode off|sampled|all]
- *   simr_cli hotspots <service>|--all [--top N] [--requests N]
- *            [--batch N]
- *
- * Commands that run experiments also accept --metrics FILE to dump the
- * run's metric registry (text exposition) to a file.
- *
- * Exit codes: 0 success, 1 usage error, 2 unknown service or bad flag
- * value, 3 analysis findings / profiler inconsistency, 4 I/O failure.
+ * Exit codes: 0 success, 1 no or unknown subcommand, 2 unknown service,
+ * missing or stray argument, unknown flag or bad flag value, 3 analysis
+ * findings / profiler inconsistency, 4 I/O failure.
  */
 
 #include <algorithm>
@@ -39,8 +17,10 @@
 #include <fstream>
 #include <initializer_list>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <type_traits>
+#include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/cache.h"
@@ -82,39 +62,95 @@ has(int argc, char **argv, const char *name)
     return false;
 }
 
+/**
+ * Every subcommand's syntax, for the usage text and for checkSyntax. A
+ * bracketed word is optional; a flag followed by a word that is not a
+ * flag takes a value; a first word that is not a flag is the target.
+ */
+const std::pair<const char *, const char *> kSyntax[] = {
+    {"list", ""},
+    {"analyze", "<service>|--all [--json] [--dataflow] [--crosscheck]"},
+    {"efficiency", "<service> [--policy naive|api|arg] [--reconv stack|minsp] "
+                   "[--batch N] [--requests N] [--metrics FILE]"},
+    {"timing", "<service> --config cpu|smt8|rpu|gpu [--requests N] "
+               "[--alloc glibc|simr] [--batch N] [--metrics FILE]"},
+    {"tune", "<service>"},
+    {"sweep", "[--config cpu|smt8|rpu|gpu] [--requests N] [--threads N] "
+              "[--metrics FILE]"},
+    {"cluster", "[--qps N] [--rpu] [--nosplit] [--servers N] [--users N] "
+                "[--requests N] [--shards N] [--threads N] [--metrics FILE]"},
+    {"stats", "[service] [--json] [--config cpu|smt8|rpu|gpu] [--requests N] "
+              "[--threads N] [--metrics FILE]"},
+    {"trace", "<service>|social_network [--out FILE] [--config rpu|gpu] "
+              "[--requests N] [--top N] [--qps N] [--metrics FILE]"},
+    {"anatomy", "social_network [--json] [--qps N] [--requests N] "
+                "[--mode off|sampled|all] [--servers N] [--shards N] "
+                "[--metrics FILE]"},
+    {"hotspots", "<service>|--all [--top N] [--requests N] [--batch N] "
+                 "[--metrics FILE]"},
+};
+
 int
 usage()
 {
+    std::fprintf(stderr, "usage:\n");
+    for (const auto &[cmd, syntax] : kSyntax)
+        std::fprintf(stderr, "  simr_cli %s%s%s\n", cmd, *syntax ? " " : "",
+                     syntax);
     std::fprintf(stderr,
-        "usage:\n"
-        "  simr_cli list\n"
-        "  simr_cli analyze <service>|--all [--json] [--dataflow]\n"
-        "           [--crosscheck]\n"
-        "  simr_cli efficiency <service> [--policy naive|api|arg]\n"
-        "           [--reconv stack|minsp] [--batch N] [--requests N]\n"
-        "  simr_cli timing <service> --config cpu|smt8|rpu|gpu\n"
-        "           [--requests N] [--alloc glibc|simr] [--batch N]\n"
-        "  simr_cli tune <service>\n"
-        "  simr_cli sweep [--config cpu|smt8|rpu|gpu] [--requests N]\n"
-        "           [--threads N]\n"
-        "  simr_cli cluster [--qps N] [--rpu] [--nosplit]\n"
-        "           [--servers N] [--users N] [--requests N]\n"
-        "           [--shards N] [--threads N]   (defaults: the Fig. 22\n"
-        "           single graph, one server per tier and one client;\n"
-        "           --servers N >= 5 scales the 4:4:2:2:1 tier mix)\n"
-        "  simr_cli stats [service] [--json]\n"
-        "           [--config cpu|smt8|rpu|gpu] [--requests N]\n"
-        "           [--threads N]\n"
-        "  simr_cli trace <service>|social_network [--out FILE]\n"
-        "           [--config rpu|gpu] [--requests N] [--qps N]\n"
-        "  simr_cli anatomy social_network [--json] [--qps N]\n"
-        "           [--requests N] [--mode off|sampled|all]\n"
-        "           [--servers N] [--shards N]   (drill into a\n"
-        "           cluster-scale PDES run instead of one graph)\n"
-        "  simr_cli hotspots <service>|--all [--top N] [--requests N]\n"
-        "           [--batch N]\n"
-        "(experiment commands also take --metrics FILE)\n");
+        "cluster defaults to the Fig. 22 single graph (one server per tier\n"
+        "and one client); --servers N >= 5 scales the 4:4:2:2:1 tier mix.\n"
+        "anatomy --servers/--shards drills into a cluster-scale PDES run.\n");
     return 1;
+}
+
+bool
+isFlag(const std::string &w)
+{
+    return w.rfind("--", 0) == 0;
+}
+
+/**
+ * Reject any argument `syntax` does not allow: an unknown flag, a
+ * valued flag without its value, a stray positional argument. Prints
+ * why.
+ */
+bool
+checkSyntax(int argc, char **argv, const std::string &syntax)
+{
+    std::istringstream in(syntax);
+    std::vector<std::string> words;
+    for (std::string w; in >> w;) {
+        std::erase(w, '[');
+        std::erase(w, ']');
+        words.push_back(w);
+    }
+    auto flags = words.begin();
+    int i = 2;
+    if (!words.empty() && !isFlag(words[0])) {
+        ++flags;
+        if (syntax[0] != '[' && argc < 3) {
+            std::fprintf(stderr, "%s: expected %s\n", argv[1],
+                         words[0].c_str());
+            return false;
+        }
+        if (syntax[0] != '[' || (argc > 2 && argv[2][0] != '-'))
+            ++i;
+    }
+    for (; i < argc; ++i) {
+        const std::string a = argv[i];
+        auto it = std::find(flags, words.end(), a);
+        bool known = isFlag(a) && it != words.end();
+        if (known && (it + 1 == words.end() || isFlag(*(it + 1)) ||
+                      ++i < argc))
+            continue;
+        std::fprintf(stderr, "%s: %s '%s' (simr_cli without arguments "
+                     "prints usage)\n", argv[1],
+                     known ? "no value after" : isFlag(a) ? "unknown flag" :
+                     "unexpected argument", a.c_str());
+        return false;
+    }
+    return true;
 }
 
 /**
@@ -956,6 +992,12 @@ main(int argc, char **argv)
     if (argc < 2)
         return usage();
     std::string cmd = argv[1];
+    auto syn = std::find_if(std::begin(kSyntax), std::end(kSyntax),
+                            [&](const auto &s) { return cmd == s.first; });
+    if (syn == std::end(kSyntax))
+        return usage();
+    if (!checkSyntax(argc, argv, syn->second))
+        return 2;
     if (cmd == "list")
         return cmdList();
     if (cmd == "sweep")
@@ -969,8 +1011,6 @@ main(int argc, char **argv)
             service = argv[2];
         return cmdStats(service, argc, argv);
     }
-    if (argc < 3)
-        return usage();
     std::string service = argv[2];
     if (cmd == "analyze")
         return cmdAnalyze(service, argc, argv);

@@ -101,6 +101,8 @@ struct CoreConfig
     /** Chip-level context (for throughput/energy scaling). */
     int chipCores = 98;
     double chipStaticWatts = 49.0;
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** @name Table IV configurations */

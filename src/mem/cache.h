@@ -34,6 +34,8 @@ struct CacheConfig
      * silently misindexing sets.
      */
     void validate() const;
+
+    bool operator==(const CacheConfig &) const = default;
 };
 
 /** Aggregate counters for one cache instance. */

@@ -43,6 +43,8 @@ struct MemPathConfig
      * config fails loudly instead of silently misindexing sets.
      */
     void validate() const;
+
+    bool operator==(const MemPathConfig &) const = default;
 };
 
 /**

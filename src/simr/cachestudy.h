@@ -45,6 +45,8 @@ struct CacheStudyOptions
     batch::Policy policy = batch::Policy::PerApiArgSize;
     mem::AllocPolicy alloc = mem::AllocPolicy::SimrAware;
     bool stackInterleave = true;
+
+    bool operator==(const CacheStudyOptions &) const = default;
 };
 
 /** RPU-style study: lockstep batches through MCU + banked L1. */

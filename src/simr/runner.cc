@@ -160,8 +160,6 @@ runTiming(const svc::Service &svc, const core::CoreConfig &cfg,
                     svc, std::move(per_engine[static_cast<size_t>(e)]),
                     opt.alloc));
             engine->setStaticProof(ca->proof);
-            if (opt.observerFor)
-                engine->setObserver(opt.observerFor(e));
             engines.push_back(engine.get());
             units.push_back(std::move(engine));
         }

@@ -9,7 +9,6 @@
 #ifndef SIMR_SIMR_RUNNER_H
 #define SIMR_SIMR_RUNNER_H
 
-#include <functional>
 #include <vector>
 
 #include "batching/policy.h"
@@ -89,13 +88,8 @@ struct TimingOptions
     /** Override the batch size; 0 = the service's tuned batch size. */
     int batchOverride = 0;
     bool useTunedBatch = true;
-    /**
-     * Optional per-engine lockstep observer factory (batch configs
-     * only). Called once per engine index before execution; returned
-     * pointers must outlive the runTiming call. nullptr results are
-     * fine (that engine is simply unobserved).
-     */
-    std::function<simt::LockstepObserver *(int engine)> observerFor;
+
+    bool operator==(const TimingOptions &) const = default;
 };
 
 /**
@@ -116,6 +110,8 @@ struct Cell
     std::string service;      ///< registry name (svc::buildService)
     core::CoreConfig cfg;
     TimingOptions opt;
+
+    bool operator==(const Cell &) const = default;
 };
 
 /**

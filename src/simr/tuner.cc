@@ -10,36 +10,41 @@
 namespace simr::tune
 {
 
-TuneResult
-tuneBatchSize(const svc::Service &svc, const TunerConfig &cfg)
+TunePoint
+probeBatchSize(const svc::Service &svc, int batch_size,
+               const TunerConfig &cfg)
 {
-    simr_assert(!cfg.candidates.empty(), "no candidate batch sizes");
+    CacheStudyOptions copt;
+    copt.requests = cfg.profileRequests;
+    copt.seed = cfg.seed;
+    copt.l1KB = cfg.l1KB;
+    auto cache = studyRpuCache(svc, batch_size, copt);
+
+    auto eff = measureEfficiency(svc, batch::Policy::PerApiArgSize,
+                                 simt::ReconvPolicy::MinSpPc, batch_size,
+                                 cfg.profileRequests, cfg.seed);
+
+    TunePoint p;
+    p.batchSize = batch_size;
+    p.mpki = cache.mpki();
+    p.efficiency = eff.efficiency();
+    return p;
+}
+
+TuneResult
+chooseBatch(std::vector<TunePoint> points, const TunerConfig &cfg)
+{
+    simr_assert(!points.empty(), "no candidate batch sizes");
 
     TuneResult res;
-    std::vector<int> sizes = cfg.candidates;
-    std::sort(sizes.begin(), sizes.end());
+    res.points = std::move(points);
+    std::sort(res.points.begin(), res.points.end(),
+              [](const TunePoint &a, const TunePoint &b) {
+                  return a.batchSize < b.batchSize;
+              });
 
-    // Candidate profiles are independent, so fan them out; the
-    // acceptability pass below is serial because the smallest batch
-    // establishes the MPKI floor the thrash test compares against.
-    res.points = parallelMap(sizes, [&](int bs) {
-        CacheStudyOptions copt;
-        copt.requests = cfg.profileRequests;
-        copt.seed = cfg.seed;
-        copt.l1KB = cfg.l1KB;
-        auto cache = studyRpuCache(svc, bs, copt);
-
-        auto eff = measureEfficiency(svc, batch::Policy::PerApiArgSize,
-                                     simt::ReconvPolicy::MinSpPc, bs,
-                                     cfg.profileRequests, cfg.seed);
-
-        TunePoint p;
-        p.batchSize = bs;
-        p.mpki = cache.mpki();
-        p.efficiency = eff.efficiency();
-        return p;
-    });
-
+    // The smallest batch establishes the MPKI floor the thrash test
+    // compares against.
     double floor_mpki = res.points.front().mpki;
     for (auto &p : res.points) {
         p.acceptable =
@@ -52,8 +57,16 @@ tuneBatchSize(const svc::Service &svc, const TunerConfig &cfg)
     }
     // Nothing fit the budget: fall back to the smallest candidate.
     if (res.chosenBatch == 0)
-        res.chosenBatch = sizes.front();
+        res.chosenBatch = res.points.front().batchSize;
     return res;
+}
+
+TuneResult
+tuneBatchSize(const svc::Service &svc, const TunerConfig &cfg)
+{
+    return chooseBatch(parallelMap(cfg.candidates, [&](int bs) {
+        return probeBatchSize(svc, bs, cfg);
+    }), cfg);
 }
 
 } // namespace simr::tune

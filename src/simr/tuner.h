@@ -38,6 +38,8 @@ struct TunerConfig
     double thrashFactor = 2.5;
     double mpkiSlack = 1.0;     ///< absolute slack for near-zero floors
     double minEfficiency = 0.5; ///< below this, bigger batches are moot
+
+    bool operator==(const TunerConfig &) const = default;
 };
 
 /** Outcome for one candidate size. */
@@ -56,7 +58,22 @@ struct TuneResult
     std::vector<TunePoint> points;
 };
 
-/** Run the offline tuning pass for one service. */
+/**
+ * Profile one candidate batch size: an RPU cache study and a SIMT
+ * efficiency probe over the profiling sample.
+ */
+TunePoint probeBatchSize(const svc::Service &svc, int batch_size,
+                         const TunerConfig &cfg);
+
+/**
+ * Judge profiled candidates (any order, at least one) and pick the
+ * largest acceptable batch. Points come back sorted by batch size.
+ */
+TuneResult chooseBatch(std::vector<TunePoint> points,
+                       const TunerConfig &cfg);
+
+/** Run the offline tuning pass for one service: probe every candidate
+ *  in parallel, then chooseBatch. */
 TuneResult tuneBatchSize(const svc::Service &svc,
                          const TunerConfig &cfg = TunerConfig());
 

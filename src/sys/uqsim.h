@@ -78,6 +78,8 @@ struct SysConfig
      * calls this before simulating.
      */
     void validate() const;
+
+    bool operator==(const SysConfig &) const = default;
 };
 
 /** Per-tier latency breakdown (uqSim-style model validation view). */

@@ -1,28 +1,51 @@
-# CLI input contract: every bad flag value and every bad SIMR_*
-# environment value must be rejected with a message on stderr and exit
-# code 2 -- never an uncaught exception, an assertion abort or a silent
-# fallback to a default.
+# CLI input contract: every bad flag value, unknown flag, stray
+# positional argument and bad SIMR_* environment value must be rejected
+# with a message on stderr and exit code 2 -- never an uncaught
+# exception, an assertion abort or a silent fallback to a default.
 #
-# Usage: cmake -DCLI=<path to simr_cli> -P cli_contract.cmake
+# Usage: cmake -DCLI=<path to simr_cli> -DREPRODUCE=<path to
+#              simr_reproduce> -P cli_contract.cmake
 
 # One invocation per entry: leading SIMR_*=value words set the
-# environment, the rest are simr_cli's arguments.
-set(cases
+# environment, the rest are the program's arguments.
+set(cli_cases
     "cluster --servers 0"
     "cluster --qps abc"
     "cluster --qps -5"
     "cluster --users 0"
     "cluster --requests 1.5"
+    "cluster --requets 5"
+    "cluster --rpu extra"
     "timing memc --requests -5"
     "timing memc --requests abc"
     "timing memc --requests 0"
+    "timing memc --requests"
     "timing memc --config bogus"
+    "timing memc --bogus 3"
+    "timing memc extra --requests 8"
+    "list extra"
+    "analyze memc --bogus"
+    "tune memc --batch 8"
     "sweep --threads abc"
+    "sweep extra"
+    "stats memc extra"
     "efficiency memc --policy bogus"
+    "efficiency memc --bogus 1"
+    "trace memc --bogus 1"
     "anatomy social_network --mode bogus"
+    "anatomy social_network --bogus"
+    "hotspots memc --bogus"
     "SIMR_THREADS=abc sweep --requests 8")
+set(reproduce_cases
+    "--bogus"
+    "extra"
+    "--only"
+    "--only nosuchfig"
+    "--only fig1"
+    "--only fig05,bogus"
+    "SIMR_REQUESTS=abc --only fig05")
 
-foreach(case IN LISTS cases)
+function(expect_rejected program case)
     separate_arguments(words UNIX_COMMAND "${case}")
     set(env "")
     set(args "")
@@ -33,12 +56,21 @@ foreach(case IN LISTS cases)
             list(APPEND args "${w}")
         endif()
     endforeach()
-    execute_process(COMMAND ${CMAKE_COMMAND} -E env ${env} "${CLI}" ${args}
+    get_filename_component(name "${program}" NAME)
+    execute_process(COMMAND ${CMAKE_COMMAND} -E env ${env} "${program}"
+                            ${args}
                     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
     if (NOT rc STREQUAL "2" OR err STREQUAL "")
-        message(SEND_ERROR "simr_cli ${case}: exit '${rc}', stderr "
+        message(SEND_ERROR "${name} ${case}: exit '${rc}', stderr "
                 "'${err}' (want exit 2 and a message)")
     else()
-        message(STATUS "simr_cli ${case}: exit 2: ${err}")
+        message(STATUS "${name} ${case}: exit 2: ${err}")
     endif()
+endfunction()
+
+foreach(case IN LISTS cli_cases)
+    expect_rejected("${CLI}" "${case}")
+endforeach()
+foreach(case IN LISTS reproduce_cases)
+    expect_rejected("${REPRODUCE}" "${case}")
 endforeach()
