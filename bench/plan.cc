@@ -111,7 +111,7 @@ Plan::ledger() const
               ", \"run\": " + std::to_string(k.items.size()) + "}"),
          ...);
     }, kinds_);
-    double idle = wallS_ > 0 ? 1.0 - busyS_ / (wallS_ * workers_) : 0.0;
+    double idle = busyS_ > 0 ? 1.0 - busyS_ / (wallS_ * workers_) : 0.0;
     return "\"items\": {" + items + "}, \"fanout\": {\"workers\": " +
         std::to_string(workers_) + ", \"wall_s\": " + Table::num(wallS_, 3) +
         ", \"cpu_s\": " + Table::num(cpuS_, 3) + ", \"busy_s\": " +

@@ -141,6 +141,7 @@ checkSyntax(int argc, char **argv, const std::string &syntax)
         const std::string a = argv[i];
         auto it = std::find(flags, words.end(), a);
         bool known = isFlag(a) && it != words.end();
+        // A flag followed by a non-flag word consumes the next argument.
         if (known && (it + 1 == words.end() || isFlag(*(it + 1)) ||
                       ++i < argc))
             continue;
