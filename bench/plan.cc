@@ -67,7 +67,7 @@ runItem(const sys::SysConfig &cfg)
 }
 
 void
-Plan::run(int threads)
+Plan::run()
 {
     // One task per distinct item: kind by kind, timing cells first.
     std::vector<std::function<void()>> tasks;
@@ -82,8 +82,8 @@ Plan::run(int threads)
         (queue(k), ...);
     }, kinds_);
 
-    int t = threads > 0 ? threads : defaultThreads();
-    workers_ = std::max(1, std::min(t, static_cast<int>(tasks.size())));
+    workers_ = std::max(
+        1, std::min(defaultThreads(), static_cast<int>(tasks.size())));
     std::vector<double> busy(tasks.size());
     const auto t0 = std::chrono::steady_clock::now();
     const std::clock_t c0 = std::clock();
@@ -93,7 +93,7 @@ Plan::run(int threads)
         const auto start = std::chrono::steady_clock::now();
         tasks[i]();
         busy[i] = secondsSince(start);
-    }, threads);
+    });
     cpuS_ = static_cast<double>(std::clock() - c0) / CLOCKS_PER_SEC;
     wallS_ = secondsSince(t0);
     busyS_ = 0;

@@ -106,12 +106,12 @@ class Plan
     }
 
     /**
-     * Run every distinct item once, in one parallelFor over `threads`
-     * workers (0 = defaultThreads()). Each item runs under its own
-     * private obs::Registry, as a runCells cell does, so results do not
-     * depend on the worker count.
+     * Run every distinct item once, in one parallelFor over
+     * defaultThreads() workers. Each item runs under its own private
+     * obs::Registry, as a runCells cell does, so results do not depend
+     * on the worker count.
      */
-    void run(int threads = 0);
+    void run();
 
     /**
      * The ledger of the last run() as JSON members: per kind the items

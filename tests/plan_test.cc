@@ -79,7 +79,7 @@ TEST(Plan, RunMatchesDirectRuns)
     auto he = p.add(eff);
     auto ht = p.add(probe);
     p.add(cell);
-    p.run(2);
+    p.run();
     EXPECT_NE(p.ledger().find(
                   "\"timing\": {\"declared\": 2, \"run\": 1}"),
               std::string::npos);
