@@ -11,7 +11,9 @@
  *    through runCells at 64 timing requests;
  *  - measureEfficiency SimtStats for three batching policies x two
  *    reconvergence schemes on memc, post and search-leaf;
- *  - one Fig. 22 runUserScenario point and one small runCluster cell.
+ *  - two Fig. 22 runUserScenario points (RPU with and without batch
+ *    splitting) and one small runCluster cell, each with the journeys
+ *    a Sampled recorder keeps.
  *
  * Each result renders through simr/records.h, the same definition of
  * identity every determinism gate uses, so the comparison is exact. On
@@ -33,6 +35,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/journey.h"
+#include "obs/metrics.h"
 #include "simr/records.h"
 #include "simr/runner.h"
 #include "sys/cluster.h"
@@ -84,6 +88,19 @@ simtRecords(Records &out)
     }
 }
 
+/** One system run with a Sampled journey recorder in scope: its result
+ *  and its sampled journeys, pinned under `prefix`. */
+template <class Run>
+void
+recordWithJourneys(Records &out, const std::string &prefix, Run run)
+{
+    obs::Registry reg;
+    obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 32);
+    obs::Scope scope(&reg, nullptr, &rec);
+    record(out, prefix, run());
+    record(out, prefix + "journeys/", rec.snapshot());
+}
+
 void
 systemRecords(Records &out)
 {
@@ -91,7 +108,14 @@ systemRecords(Records &out)
     point.qps = 50000;
     point.rpu = true;
     point.batchSplit = true;
-    record(out, "fig22/rpu_split/50kqps/", sys::runUserScenario(point));
+    recordWithJourneys(out, "fig22/rpu_split/50kqps/",
+                       [&] { return sys::runUserScenario(point); });
+
+    // Unsplit: hits in mixed batches stall at the reconvergence point.
+    sys::SysConfig nosplit = point;
+    nosplit.batchSplit = false;
+    recordWithJourneys(out, "fig22/rpu_nosplit/50kqps/",
+                       [&] { return sys::runUserScenario(nosplit); });
 
     sys::ClusterConfig cell;
     cell.base.rpu = true;
@@ -100,7 +124,8 @@ systemRecords(Records &out)
     cell.qps = 100000;
     cell.shards = 4;
     cell.threads = 2;
-    record(out, "cluster/small/", sys::runCluster(cell));
+    recordWithJourneys(out, "cluster/small/",
+                       [&] { return sys::runCluster(cell); });
 }
 
 bool
