@@ -23,11 +23,12 @@
  *
  * A second section measures the journey recorder (obs/journey.h) on
  * the system simulator: the always-on sampled mode against journeys
- * off and full capture. Sampled-mode overhead IS gated (<2%;
- * thread cputime over ABBA blocks to shed scheduler noise, order
- * effects and clock drift), and SysResult must be
- * bit-identical in all three modes -- recording may never perturb the
- * simulation.
+ * off and full capture. Sampled mode costs the per-batch flight
+ * writes during the run plus one post-run pass that keys every
+ * completed request and builds the kept journeys. Its overhead IS
+ * gated (<2%; thread cputime over ABBA blocks to shed scheduler noise,
+ * order effects and clock drift), and SysResult must be bit-identical
+ * in all three modes -- recording may never perturb the simulation.
  *
  * With --verify-journeys the bench instead runs the ctest determinism
  * gate: every scenario cell's SysResult records (simr/records.h: all
@@ -277,10 +278,11 @@ main(int argc, char **argv)
                 overhead_pct, trace_overhead_pct);
 
     // --- Journey recorder overhead on the system simulator ----------
-    // The journey hot path is one hash and one comparison per request
-    // next to a ~70ns simulation step, so the measurement must resolve
-    // single-digit nanoseconds per request on a machine whose clock
-    // drifts more than that between reps: thread cputime (no co-tenant
+    // Sampled capture adds a few nanoseconds per request (the flight
+    // writes and the post-run key pass) next to a ~70ns simulation
+    // step, so the measurement must resolve single-digit nanoseconds
+    // per request on a machine whose clock drifts more than that
+    // between reps: thread cputime (no co-tenant
     // steal), ABBA blocks (no order effect or linear drift), and the
     // median of the per-block overhead ratios (robust to outlier
     // blocks). Sampled mode is gated (<2% always-on budget). Full

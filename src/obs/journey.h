@@ -19,37 +19,28 @@
  * exactly its end-to-end tick count -- an integer identity asserted by
  * tests, immune to floating-point reassociation.
  *
- * Overhead: recording is two-phase. A request first offers only its
- * identity and latency; the recorder decides membership with one hash
- * and one comparison (latency-biased reservoir sampling, A-ES keys:
- * key = latency / Exp(1), deterministic per reqId), and only accepted
- * requests pay for building the event log. The always-on sampled mode
- * stays under the 2% overhead budget (gated by bench_obs); All mode
- * (`simr_cli anatomy --mode all`) captures every request for deep
- * drill-downs.
+ * Selection: capture happens after the run, on one thread. Every
+ * completed request gets a latency-biased sampling key (A-ES weighted
+ * reservoir sampling: key = latency / Exp(1), deterministic per reqId)
+ * and Sampled mode builds the event log of only the top-`capacity`
+ * requests by key. All mode (`simr_cli anatomy --mode all`) captures
+ * every request for deep drill-downs.
  *
- * Determinism: sampling keys depend only on (reqId, latency, seed),
- * never on thread scheduling; each shard keeps its local top-K and
- * snapshot() takes the global top-K of the union (a superset of every
- * shard's local top-K), so the sampled set is identical at any thread
- * count. Recording never perturbs the simulation: the recorder draws
- * nothing from the scenario's Rng and SysResult is bit-identical with
- * journeys off, sampled or full (ctest journey_determinism_gate).
+ * Determinism: sampling keys depend only on (reqId, latency, seed), so
+ * the sampled set is identical at any thread or shard count. Recording
+ * never perturbs the simulation: the recorder draws nothing from the
+ * scenario's Rng and SysResult is bit-identical with journeys off,
+ * sampled or full (ctest journey_determinism_gate).
  */
 
 #ifndef SIMR_OBS_JOURNEY_H
 #define SIMR_OBS_JOURNEY_H
 
-#include <atomic>
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
-#include <mutex>
-#include <string>
 #include <vector>
-
-#include "common/rng.h"
 
 namespace simr::obs
 {
@@ -138,33 +129,23 @@ struct Journey
 };
 
 /**
- * Latency-biased journey reservoir with per-thread shards.
+ * Latency-biased journey reservoir, filled once per run.
  *
- * Two-phase protocol for the hot path:
- *
- *   uint64_t key;
- *   if (rec.offer(reqId, e2eUs, &key)) {
- *       Journey j = buildJourney(...);   // only for accepted requests
- *       rec.admit(std::move(j), key);
- *   }
- *
- * offer() costs one hash and one comparison against the calling
- * shard's current admission threshold; admit() inserts into the
- * shard's bounded reservoir, evicting its minimum-key entry. In All
- * mode offer() always accepts. In Off mode it always declines.
+ * The engine hands a finished run to capture(); the recorder picks
+ * which requests to keep and asks the engine to build only those
+ * journeys. Single-threaded: capture() runs on the caller's thread
+ * after the simulation.
  */
 class JourneyRecorder
 {
   public:
     /**
      * @param mode      capture mode
-     * @param capacity  reservoir size (per shard and for the merged
-     *                  snapshot); ignored in All mode
+     * @param capacity  reservoir size; ignored in All mode
      * @param seed      sampling-key salt (deterministic per reqId)
      */
     explicit JourneyRecorder(JourneyMode mode, size_t capacity = 512,
                              uint64_t seed = 0x1009e5);
-    ~JourneyRecorder();
     JourneyRecorder(const JourneyRecorder &) = delete;
     JourneyRecorder &operator=(const JourneyRecorder &) = delete;
 
@@ -172,198 +153,34 @@ class JourneyRecorder
     size_t capacity() const { return capacity_; }
 
     /**
-     * Phase 1: would a request with this identity and latency be kept?
-     * Counts the request as seen either way. On acceptance fills
-     * `key` for the admit() call. Lock-free: one hash plus a relaxed
-     * load of the calling shard's admission threshold (the shard is
-     * only written by its own thread, so the threshold it reads is
-     * exact, not approximate).
+     * Capture one run's journeys; a run replaces whatever the recorder
+     * held before.
      *
-     * Hot loops should hoist cursor() and offer through that instead:
-     * this entry point re-resolves the calling thread's shard each
-     * call.
+     * `for_each(visit)` must call `visit(reqId, e2eUs, tag)` once for
+     * every completed request; `build(reqId, tag)` returns the Journey
+     * of one request the recorder keeps (`tag` is the caller's, passed
+     * through unchanged). Off mode builds nothing and counts nothing.
+     * All mode builds every request. Sampled mode builds the
+     * `capacity` requests with the largest keyFor(reqId, e2eUs, seed),
+     * ties going to the smaller reqId, so the kept set depends only on
+     * the population, not on the visiting order.
      */
-    bool offer(uint64_t req_id, double e2e_us, uint64_t *key);
+    template <class ForEach, class Build>
+    void capture(ForEach &&for_each, Build &&build);
 
-    /** Phase 2: store an accepted journey under its sampling key. */
-    void admit(Journey &&j, uint64_t key);
+    /** Requests visited by the last capture (kept or not). */
+    uint64_t seen() const { return seen_; }
 
-    /** Requests offered (kept or not). */
-    uint64_t seen() const;
+    /** Journeys held. */
+    uint64_t kept() const { return journeys_.size(); }
 
-    /** Journeys currently resident across shards. */
-    uint64_t kept() const;
-
-    /**
-     * Merged view: the global top-`capacity` journeys by sampling key
-     * (every journey in All mode), sorted by reqId. Deterministic for
-     * a given offered population at any thread count.
-     */
-    std::vector<Journey> snapshot() const;
+    /** The kept journeys, sorted by reqId. */
+    std::vector<Journey> snapshot() const { return journeys_; }
 
     void clear();
 
-  private:
-    struct Entry
-    {
-        uint64_t key;
-        Journey journey;
-    };
-
-    /** Bounded min-heap-by-key reservoir (one per recording thread). */
-    struct Shard
-    {
-        std::mutex mu;            ///< uncontended except vs. snapshot()
-        std::vector<Entry> heap;  ///< min-heap on key (Sampled mode)
-        std::vector<Journey> log; ///< append log (All mode)
-
-        /** Offers routed to this shard (owner-written, racily read). */
-        std::atomic<uint64_t> seen{0};
-
-        /**
-         * Admission threshold: 0 while the heap has room, else the
-         * heap's minimum key. offer() reads it without the mutex.
-         */
-        std::atomic<uint64_t> threshold{0};
-    };
-
-  public:
-    /**
-     * Per-thread offer cursor. Resolving the calling thread's shard
-     * costs a TLS lookup plus an acquire load, and counting a request
-     * or reading the admission threshold touches the shard's cache
-     * line -- cheap once, but real money when paid per request next to
-     * a ~100ns simulation step. A cursor caches the shard, and
-     * beginGroup(n) amortizes the seen-counter bump and the threshold
-     * snapshot over a whole batch, so the per-request path is fully
-     * inline: one hash, two multiplies, an add and a comparison.
-     * Obtain a cursor once per work region, outside the request loop;
-     * a default-constructed cursor (or one from an Off-mode recorder)
-     * declines every offer.
-     *
-     * A threshold snapshot can only be stale in the conservative
-     * direction (the true threshold only rises), so staleness causes
-     * spurious accepts -- which admit() re-checks under the shard lock
-     * -- never wrongful rejects. The sampled set stays exactly the
-     * global top-K by key.
-     */
-    class Cursor
-    {
-      public:
-        Cursor() = default;
-
-        /**
-         * Announce a run of `n` requests about to be offered: counts
-         * them as seen and snapshots the shard's admission threshold
-         * for the cheap per-request pre-test.
-         */
-        void beginGroup(uint64_t n)
-        {
-            if (!shard_)
-                return;
-            Shard &s = *shard_;
-            // Owner-written counter: plain load+store instead of a
-            // lock-prefixed RMW (seen() tolerates a racy read).
-            s.seen.store(s.seen.load(std::memory_order_relaxed) + n,
-                         std::memory_order_relaxed);
-            // The admission threshold moves only on (rare) admits, so
-            // skip the divide when it hasn't. The poison value
-            // UINT64_MAX can never equal a real threshold -- it is a
-            // NaN bit pattern, and keys are finite non-negative
-            // doubles.
-            uint64_t t = s.threshold.load(std::memory_order_relaxed);
-            if (t != thr_) {
-                thr_ = t;
-                inv53_ =
-                    t ? 0x1.0p53 / std::bit_cast<double>(t) : 0.0;
-            }
-        }
-
-        /** Same contract as JourneyRecorder::offer(); requests must
-         *  have been announced by beginGroup(). */
-        bool offer(uint64_t req_id, double e2e_us, uint64_t *key)
-        {
-            if (mode_ == JourneyMode::All) {
-                *key = req_id;
-                return true;
-            }
-            if (thr_ != 0) {
-                // Conservative pre-reject, division- and log-free.
-                // Accepting needs E < r where E = -ln(u) and
-                // r = e2e/thr; since 1 - r <= e^-r, any u below
-                // 1 - r cannot accept. The test runs scaled by 2^53 so
-                // the hash's mantissa compares directly against
-                // kPreC - e2e * (2^53/thr), one multiply and one
-                // subtract per request. The 1e-9 relative margin in
-                // kPreC swallows floating-point rounding, the +1 in
-                // uniformFor's mantissa and the fact that keyFor's
-                // chord-approximated log never underestimates E, so
-                // the pre-test only rejects requests whose key is
-                // certainly at or below the snapshotted threshold.
-                //
-                // A default-constructed (or Off-mode) cursor lands
-                // here too, with thr_ = UINT64_MAX and inv53_ = +inf:
-                // the pre-test never fires (kPreC - e2e * inf is
-                // -inf or NaN, both incomparable below), and the final
-                // k > UINT64_MAX comparison declines every offer --
-                // the decline path costs no extra branch on the
-                // sampled hot path.
-                uint64_t h = hashFor(req_id, seed_);
-                if (static_cast<double>(h >> 11) <
-                    kPreC - e2e_us * inv53_)
-                    return false;
-            }
-            uint64_t k = keyFor(req_id, e2e_us, seed_);
-            *key = k;
-            // thr_ == 0 means the heap still has room (or its minimum
-            // is the zero-latency key, where a spurious accept is
-            // harmless: admit() re-checks under the lock).
-            return thr_ == 0 || k > thr_;
-        }
-
-      private:
-        friend class JourneyRecorder;
-
-        /** (1 - 1e-9) * 2^53: the scaled pre-reject cutoff. */
-        static constexpr double kPreC = 0.999999999 * 0x1.0p53;
-
-        Shard *shard_ = nullptr;
-        JourneyMode mode_ = JourneyMode::Off;
-        uint64_t seed_ = 0;
-
-        /** UINT64_MAX until beginGroup() snapshots a real threshold:
-         *  an unannounced or Off-mode cursor declines everything. */
-        uint64_t thr_ = UINT64_MAX;
-        double inv53_ =
-            std::numeric_limits<double>::infinity();
-    };
-
-    /** Cursor bound to the calling thread's shard (null in Off mode). */
-    Cursor cursor();
-
-  private:
-    Shard &localShard();
-
-    /** Single-multiply stateless mix (Fibonacci hashing, not full
-     *  mix64): this sits on the per-request hot path of the system
-     *  simulator. Only the top 53 bits are consumed, and the top bits
-     *  of an odd-constant product are well distributed -- for
-     *  sequential request ids they behave like a low-discrepancy
-     *  sequence, which is if anything better coverage for a sampling
-     *  variate than i.i.d. uniforms. */
-    static uint64_t hashFor(uint64_t req_id, uint64_t seed)
-    {
-        return (req_id ^ seed) * 0x9e3779b97f4a7c15ULL;
-    }
-
-    /** Deterministic uniform variate in (0, 1] for a request id. */
-    static double uniformFor(uint64_t req_id, uint64_t seed)
-    {
-        uint64_t h = hashFor(req_id, seed);
-        return static_cast<double>((h >> 11) + 1) * 0x1.0p-53;
-    }
-
-    /** Deterministic A-ES sampling key for (reqId, latency). */
+    /** Deterministic A-ES sampling key for (reqId, latency): Sampled
+     *  mode keeps the requests with the largest keys. */
     static uint64_t keyFor(uint64_t req_id, double e2e_us,
                            uint64_t seed)
     {
@@ -376,11 +193,7 @@ class JourneyRecorder
         // trick: reading the raw bits of a positive double as an
         // integer gives a piecewise-linear, strictly monotone
         // approximation of log2 (max error ~0.09), plenty for a
-        // sampling variate and far cheaper than libm next to a ~100ns
-        // simulation step. log2 is concave, so the chord never
-        // overestimates it and the approximate E never underestimates
-        // the true -ln(u) -- the property Cursor's pre-reject relies
-        // on.
+        // sampling variate.
         double u = uniformFor(req_id, seed);
         double log2u = static_cast<double>(std::bit_cast<uint64_t>(u)) *
                            0x1.0p-52 -
@@ -393,13 +206,84 @@ class JourneyRecorder
         return std::bit_cast<uint64_t>(score);
     }
 
+  private:
+    /** Single-multiply stateless mix (Fibonacci hashing, not full
+     *  mix64). Only the top 53 bits are consumed, and the top bits of
+     *  an odd-constant product are well distributed -- for sequential
+     *  request ids they behave like a low-discrepancy sequence, which
+     *  is if anything better coverage for a sampling variate than
+     *  i.i.d. uniforms. */
+    static uint64_t hashFor(uint64_t req_id, uint64_t seed)
+    {
+        return (req_id ^ seed) * 0x9e3779b97f4a7c15ULL;
+    }
+
+    /** Deterministic uniform variate in (0, 1] for a request id. */
+    static double uniformFor(uint64_t req_id, uint64_t seed)
+    {
+        uint64_t h = hashFor(req_id, seed);
+        return static_cast<double>((h >> 11) + 1) * 0x1.0p-53;
+    }
+
     JourneyMode mode_;
     size_t capacity_;
     uint64_t seed_;
-
-    static constexpr int kMaxShards = 128;
-    mutable std::atomic<Shard *> shards_[kMaxShards] = {};
+    uint64_t seen_ = 0;
+    std::vector<Journey> journeys_;  ///< sorted by reqId
 };
+
+template <class ForEach, class Build>
+void
+JourneyRecorder::capture(ForEach &&for_each, Build &&build)
+{
+    clear();
+    if (mode_ == JourneyMode::All) {
+        for_each([&](uint64_t req_id, double, uint64_t tag) {
+            ++seen_;
+            journeys_.push_back(build(req_id, tag));
+        });
+    } else if (mode_ == JourneyMode::Sampled) {
+        struct Candidate
+        {
+            uint64_t key;
+            uint64_t reqId;
+            uint64_t tag;
+        };
+        // A heap under "ranks higher" keeps its lowest-ranked
+        // candidate at the front, ready to be evicted.
+        auto ranks_higher = [](const Candidate &a, const Candidate &b) {
+            return a.key != b.key ? a.key > b.key : a.reqId < b.reqId;
+        };
+        std::vector<Candidate> heap;
+        heap.reserve(capacity_);
+        uint64_t seen = 0;
+        uint64_t floor = 0;  // the front's key once the heap is full
+        for_each([&](uint64_t req_id, double e2e_us, uint64_t tag) {
+            ++seen;
+            Candidate c{keyFor(req_id, e2e_us, seed_), req_id, tag};
+            if (c.key < floor)
+                return;
+            if (heap.size() == capacity_) {
+                if (!ranks_higher(c, heap.front()))
+                    return;
+                std::pop_heap(heap.begin(), heap.end(), ranks_higher);
+                heap.pop_back();
+            }
+            heap.push_back(c);
+            std::push_heap(heap.begin(), heap.end(), ranks_higher);
+            if (heap.size() == capacity_)
+                floor = heap.front().key;
+        });
+        seen_ = seen;
+        journeys_.reserve(heap.size());
+        for (const Candidate &c : heap)
+            journeys_.push_back(build(c.reqId, c.tag));
+    }
+    std::sort(journeys_.begin(), journeys_.end(),
+              [](const Journey &a, const Journey &b) {
+                  return a.reqId < b.reqId;
+              });
+}
 
 } // namespace simr::obs
 

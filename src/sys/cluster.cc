@@ -159,12 +159,11 @@ struct NodeState
     RunningStat serviceUs;
 };
 
-/** Per-batch causal flight record: the service start at each tier,
- *  consumed by journey construction at the completion point (enqueue
- *  and done times follow from it with the same arithmetic apply()
- *  uses). Allocated only when a JourneyRecorder is in scope; written
- *  along the batch's causal event chain, so the kernel's
- *  mailbox/barrier handoff publishes it. */
+/** Per-batch flight record: the service start at each tier, from
+ *  which journey construction after the run rebuilds every enqueue,
+ *  done and completion time with apply()'s arithmetic. Allocated only
+ *  when a Sampled or All JourneyRecorder is in scope; each batch's
+ *  entry is written only along its own event chain. */
 struct Flight
 {
     double start[kTiers] = {};
@@ -179,8 +178,6 @@ struct alignas(64) ShardCtx
     uint64_t misses = 0;
     uint64_t orphans = 0;
     double maxCompletion = 0;
-    obs::JourneyRecorder::Cursor jcur;
-    bool jcurReady = false;
 };
 
 enum class Who { kAll, kHits, kMisses };
@@ -197,7 +194,7 @@ class ClusterModel : public Model
         routeSalt_ = mix64(cfg.seed ^ 0x726f7574655f6872ULL);
         buildNodes();
         buildLoad(setup_threads);
-        if (jrec_)
+        if (jrec_ && jrec_->mode() != obs::JourneyMode::Off)
             flights_.resize(nBatches_);
         if (tr_) {
             tr_->processName(kSysPid, "cluster (User scenario)");
@@ -288,24 +285,10 @@ class ClusterModel : public Model
                    tierCount_[tier]);
     }
 
-    obs::JourneyRecorder::Cursor &
-    cursorFor(ShardCtx &cx)
-    {
-        // Lazily bound on the owning worker thread (a PDES shard is
-        // pinned to one worker, so the cursor's thread affinity holds).
-        if (!cx.jcurReady) {
-            cx.jcur = jrec_->cursor();
-            cx.jcurReady = true;
-        }
-        return cx.jcur;
-    }
-
     void traceBatchOpen(uint64_t b);
-    void completeBatch(uint64_t b, Who who, bool any_miss, double done,
-                       double reconv, ShardCtx &cx);
-    void buildJourney(uint32_t rid, uint64_t b, uint32_t n,
-                      bool is_miss, bool blocked, double done,
-                      double reconv, uint64_t key);
+    void completeBatch(uint64_t b, Who who, double done, ShardCtx &cx);
+    void captureJourneys();
+    obs::Journey buildJourney(uint32_t rid, uint64_t b) const;
 
     ClusterConfig cfg_;
     obs::JourneyRecorder *jrec_;
@@ -578,7 +561,7 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
         double bt = done + net;       // reply reaches the user tier
         double hit_done = bt + net;   // ... and then the client
         if (misses == 0) {
-            completeBatch(b, Who::kAll, false, hit_done, 0, cx);
+            completeBatch(b, Who::kAll, hit_done, cx);
             return;
         }
         bool split = !cfg_.base.rpu || cfg_.base.batchSplit;
@@ -589,7 +572,7 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
                        static_cast<uint64_t>(misses)});
         }
         if (split && misses < n)
-            completeBatch(b, Who::kHits, true, hit_done, 0, cx);
+            completeBatch(b, Who::kHits, hit_done, cx);
         sink.emit({bt + net, b * kKeyStride + kTierStorage,
                    routeNode(b, kTierStorage), kTierStorage, b,
                    static_cast<uint64_t>(misses)});
@@ -601,8 +584,7 @@ ClusterModel::apply(const Event &ev, EventSink &sink, int shard)
     // complete alongside them (Fig. 17a).
     double miss_done = done + 2 * net;
     bool split = !cfg_.base.rpu || cfg_.base.batchSplit;
-    completeBatch(b, split ? Who::kMisses : Who::kAll, true, miss_done,
-                  done + net, cx);
+    completeBatch(b, split ? Who::kMisses : Who::kAll, miss_done, cx);
 }
 
 /** Timeline: the batch's formation span (batched systems only) and the
@@ -624,63 +606,65 @@ ClusterModel::traceBatchOpen(uint64_t b)
 }
 
 void
-ClusterModel::completeBatch(uint64_t b, Who who, bool any_miss,
-                            double done, double reconv, ShardCtx &cx)
+ClusterModel::completeBatch(uint64_t b, Who who, double done,
+                            ShardCtx &cx)
 {
-    uint64_t first = batchFirst_[b];
-    uint64_t last = batchFirst_[b + 1];
     if (done > cx.maxCompletion)
         cx.maxCompletion = done;
-
-    obs::JourneyRecorder::Cursor *cur = nullptr;
-    if (jrec_) {
-        uint64_t group = 0;
-        for (uint64_t i = first; i < last; ++i) {
-            bool m = any_miss && missOf(reqFlat_[i]);
-            group += (who == Who::kAll ||
-                      (who == Who::kMisses) == m) ?
-                         1 :
-                         0;
-        }
-        cur = &cursorFor(cx);
-        cur->beginGroup(group);
-    }
-
-    uint32_t n = static_cast<uint32_t>(last - first);
-    for (uint64_t i = first; i < last; ++i) {
+    for (uint64_t i = batchFirst_[b]; i < batchFirst_[b + 1]; ++i) {
         uint32_t rid = reqFlat_[i];
-        bool m = any_miss && missOf(rid);
-        if (who == Who::kHits && m)
+        if (who != Who::kAll && (who == Who::kMisses) != missOf(rid))
             continue;
-        if (who == Who::kMisses && !m)
-            continue;
-        double e2e = done - arrival_[rid];
-        e2e_[rid] = e2e;
+        e2e_[rid] = done - arrival_[rid];
         if (tr_)
             tr_->asyncEnd("req", "request", rid, done, kSysPid);
-        if (cur) {
-            uint64_t key;
-            if (cur->offer(rid, e2e, &key))
-                buildJourney(rid, b, n, m, any_miss && !m && reconv > 0,
-                             done, reconv, key);
-        }
     }
 }
 
+/** Hand the finished run to the journey recorder: every request, batch
+ *  by batch, with its batch id as the tag buildJourney() needs. */
 void
-ClusterModel::buildJourney(uint32_t rid, uint64_t b, uint32_t n,
-                           bool is_miss, bool blocked, double done,
-                           double reconv, uint64_t key)
+ClusterModel::captureJourneys()
+{
+    jrec_->capture(
+        [&](auto &&visit) {
+            for (uint64_t b = 0; b < nBatches_; ++b)
+                for (uint64_t i = batchFirst_[b]; i < batchFirst_[b + 1];
+                     ++i)
+                    visit(reqFlat_[i], e2e_[reqFlat_[i]], b);
+        },
+        [&](uint64_t rid, uint64_t b) {
+            return buildJourney(static_cast<uint32_t>(rid), b);
+        });
+}
+
+/** One request's journey, its times rebuilt from the flight record
+ *  with exactly the arithmetic apply() used. */
+obs::Journey
+ClusterModel::buildJourney(uint32_t rid, uint64_t b) const
 {
     const Flight &fl = flights_[b];
+    const double net = cfg_.base.netUs;
+    const bool split = !cfg_.base.rpu || cfg_.base.batchSplit;
+    const bool is_miss = missOf(rid);
+    bool any_miss = false;
+    for (uint64_t i = batchFirst_[b]; i < batchFirst_[b + 1]; ++i)
+        any_miss = any_miss || missOf(reqFlat_[i]);
+    const double hit_done = ((fl.start[3] + tierLatency_[3]) + net) + net;
+    const double storage_done =
+        fl.start[kTierStorage] + tierLatency_[kTierStorage];
+    const double reconv = storage_done + net;
+    const bool slow = is_miss || (any_miss && !split);
+    const double done = slow ? storage_done + 2 * net : hit_done;
+
     obs::Journey j;
     j.events.reserve(19);
     j.reqId = rid;
     j.batchId = b;
-    j.batchSize = n;
+    j.batchSize = static_cast<uint32_t>(batchFirst_[b + 1] - batchFirst_[b]);
     j.miss = is_miss;
     j.orphan = is_miss && cfg_.base.rpu && cfg_.base.batchSplit;
-    j.blockedOnBatch = blocked;
+    j.blockedOnBatch = slow && !is_miss && reconv > 0;
     auto ev = [&j](obs::JStage k, double us, int tier,
                    uint64_t aux = 0, bool foreign = false) {
         j.events.push_back({obs::journeyTicks(us), aux, k,
@@ -690,7 +674,6 @@ ClusterModel::buildJourney(uint32_t rid, uint64_t b, uint32_t n,
     ev(obs::JStage::BatchFormed, emit_[b], -1, b);
     // Replays apply()'s times: a tier is done at start + latency, and
     // the next tier is entered one network hop later.
-    const double net = cfg_.base.netUs;
     double enq = emit_[b];
     double tier_done = 0;
     for (int k = 0; k < 4; ++k) {
@@ -710,13 +693,13 @@ ClusterModel::buildJourney(uint32_t rid, uint64_t b, uint32_t n,
         ev(obs::JStage::TierDone, sstart + tierLatency_[kTierStorage],
            kTierStorage);
         ev(obs::JStage::Completion, done, -1);
-    } else if (blocked) {
+    } else if (j.blockedOnBatch) {
         ev(obs::JStage::ReconvJoin, reconv, -1, b, true);
         ev(obs::JStage::Completion, done, -1);
     } else {
         ev(obs::JStage::Completion, done, -1);
     }
-    jrec_->admit(std::move(j), key);
+    return j;
 }
 
 void
@@ -770,6 +753,8 @@ ClusterModel::finish(ClusterResult *res, int threads)
         for (const Histogram &p : parts)
             res->sys.e2eUs.merge(p);
     }
+    if (!flights_.empty())
+        captureJourneys();
 
     // Registry exposition, caller thread: same surface as the
     // single-graph scenario plus the cluster shape.

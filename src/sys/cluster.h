@@ -30,8 +30,9 @@
  * obs::Registry by the calling thread after the run (per-shard totals
  * folded in shard order, the same input-order discipline runCells
  * uses for per-cell registries). When an obs::JourneyRecorder is in
- * scope, every request is offered for per-request causal journey
- * capture, so the anatomy drill-down works at any scale. When an
+ * scope, the calling thread hands it every completed request after
+ * the run and builds the journeys it keeps, so the anatomy drill-down
+ * works at any scale. When an
  * obs::Tracer is in scope, the run emits a Perfetto timeline in
  * simulated microseconds on pid 2: batch formation on tid 1, tier t's
  * service-occupancy spans on tid 2 + t (every server of a tier shares

@@ -113,10 +113,11 @@ struct SysResult
  * scope the run emits a Perfetto timeline in simulated microseconds --
  * batch-formation spans, per-tier service-occupancy spans, storage
  * visits and per-request async spans. When an obs::JourneyRecorder is
- * in scope (obs::Scope's third slot), every request is offered to it
- * for per-request causal journey capture (obs/journey.h): arrival,
- * batch formation, per-tier enqueue/start/done, memcached hit/miss,
- * storage visits, split retries and reconvergence stalls. Recording and
+ * in scope (obs::Scope's third slot), every request is handed to it
+ * after the run for per-request causal journey capture
+ * (obs/journey.h): arrival, batch formation, per-tier
+ * enqueue/start/done, memcached hit/miss, storage visits, split
+ * retries and reconvergence stalls. Recording and
  * tracing are strictly read-only: the returned SysResult is
  * bit-identical at any capture mode.
  */

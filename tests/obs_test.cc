@@ -583,20 +583,74 @@ TEST(Anatomy, BuildAnatomySeparatesMedianAndTail)
     EXPECT_EQ(bucket_sum, rep.all.e2eTicks);
 }
 
+namespace
+{
+
+/** Synthetic latency of request i: heavy tail for ids divisible by 64. */
+double
+stormLatency(uint64_t i)
+{
+    return i % 64 == 0 ? 10000.0 + i : 10.0 + i % 7;
+}
+
+/** A two-event journey: arrival at 0, completion at `e2e_us`. */
+obs::Journey
+flatJourney(uint64_t req_id, double e2e_us)
+{
+    obs::Journey j;
+    j.reqId = req_id;
+    j.events.push_back({0, 0, obs::JStage::Arrival, -1, false});
+    j.events.push_back({obs::journeyTicks(e2e_us), 0,
+                        obs::JStage::Completion, -1, false});
+    return j;
+}
+
+/** Capture reqIds `ids` with latencies `lat(id)`, in the given order. */
+template <class Latency>
+void
+captureIds(obs::JourneyRecorder *rec, const std::vector<uint64_t> &ids,
+           Latency lat)
+{
+    rec->capture(
+        [&](auto &&visit) {
+            for (uint64_t id : ids)
+                visit(id, lat(id), id * 3);
+        },
+        [&](uint64_t id, uint64_t tag) {
+            EXPECT_EQ(tag, id * 3) << "tag must pass through";
+            return flatJourney(id, lat(id));
+        });
+}
+
+std::vector<uint64_t>
+iota(uint64_t n)
+{
+    std::vector<uint64_t> ids(n);
+    for (uint64_t i = 0; i < n; ++i)
+        ids[i] = i;
+    return ids;
+}
+
+/** Capture reqIds [0, n) with stormLatency. */
+void
+captureStorm(obs::JourneyRecorder *rec, uint64_t n)
+{
+    captureIds(rec, iota(n), stormLatency);
+}
+
+} // namespace
+
 TEST(JourneyRecorder, OffDeclinesAllCapturesEverything)
 {
     obs::JourneyRecorder off(obs::JourneyMode::Off, 8);
-    uint64_t key = 0;
-    EXPECT_FALSE(off.offer(1, 100.0, &key));
+    captureStorm(&off, 100);
     EXPECT_EQ(off.seen(), 0u);
+    EXPECT_EQ(off.kept(), 0u);
 
     obs::JourneyRecorder all(obs::JourneyMode::All, 8);
-    for (uint64_t i = 0; i < 100; ++i) {
-        ASSERT_TRUE(all.offer(i, 10.0, &key));
-        obs::Journey j;
-        j.reqId = i;
-        all.admit(std::move(j), key);
-    }
+    std::vector<uint64_t> ids = iota(100);
+    std::reverse(ids.begin(), ids.end());
+    captureIds(&all, ids, [](uint64_t) { return 10.0; });
     EXPECT_EQ(all.seen(), 100u);
     EXPECT_EQ(all.kept(), 100u);
     auto snap = all.snapshot();
@@ -605,53 +659,57 @@ TEST(JourneyRecorder, OffDeclinesAllCapturesEverything)
         EXPECT_EQ(snap[i].reqId, i);       // sorted by reqId
 }
 
-namespace
+TEST(JourneyRecorder, SampledSetIsTheTopKByKey)
 {
-
-/** Offer/admit reqIds [0, n) with deterministic synthetic latencies
- *  (heavy tail for ids divisible by 64) from `threads` workers. */
-void
-offerStorm(obs::JourneyRecorder *rec, uint64_t n, int threads)
-{
-    parallelFor(static_cast<size_t>(threads), [&](size_t t) {
-        for (uint64_t i = t; i < n; i += threads) {
-            double e2e = i % 64 == 0 ? 10000.0 + i : 10.0 + i % 7;
-            uint64_t key = 0;
-            if (rec->offer(i, e2e, &key)) {
-                obs::Journey j;
-                j.reqId = i;
-                j.events.push_back(
-                    {0, 0, obs::JStage::Arrival, -1, false});
-                j.events.push_back({obs::journeyTicks(e2e), 0,
-                                    obs::JStage::Completion, -1,
-                                    false});
-                rec->admit(std::move(j), key);
-            }
-        }
-    }, threads);
-}
-
-} // namespace
-
-TEST(JourneyRecorder, SampledSetIsThreadCountIndependent)
-{
-    // The sampling decision depends only on (reqId, latency, seed);
-    // the snapshot is the global top-K of the shard union. The same
-    // offered population must therefore yield the identical sampled
-    // set at any thread count and any arrival interleaving.
+    // Brute-force reference: every request's key, ranked key
+    // descending then reqId ascending, cut to K. The recorder must keep
+    // exactly that set whatever order the requests arrive in.
     constexpr uint64_t kReqs = 8192;
-    obs::JourneyRecorder serial(obs::JourneyMode::Sampled, 64);
-    offerStorm(&serial, kReqs, 1);
-    EXPECT_EQ(serial.seen(), kReqs);
-    EXPECT_LE(serial.snapshot().size(), 64u);
+    constexpr size_t kCap = 64;
+    constexpr uint64_t kSeed = 0xabcdef;
+    std::vector<std::pair<uint64_t, uint64_t>> ranked;  // (key, reqId)
+    for (uint64_t i = 0; i < kReqs; ++i)
+        ranked.push_back(
+            {obs::JourneyRecorder::keyFor(i, stormLatency(i), kSeed), i});
+    std::sort(ranked.begin(), ranked.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first != b.first ? a.first > b.first
+                                            : a.second < b.second;
+              });
+    ranked.resize(kCap);
+    std::sort(ranked.begin(), ranked.end(),
+              [](const auto &a, const auto &b) {
+                  return a.second < b.second;
+              });
+    std::vector<obs::Journey> want;
+    for (const auto &[key, id] : ranked)
+        want.push_back(flatJourney(id, stormLatency(id)));
 
-    for (int threads : {2, 8}) {
-        obs::JourneyRecorder par(obs::JourneyMode::Sampled, 64);
-        offerStorm(&par, kReqs, threads);
-        EXPECT_EQ(par.seen(), kReqs);
-        EXPECT_TRUE(identicalRecords(stderr, std::to_string(threads),
-                                     serial.snapshot(), par.snapshot()));
+    std::vector<uint64_t> ids = iota(kReqs);
+    for (int order = 0; order < 3; ++order) {
+        if (order == 1)
+            std::reverse(ids.begin(), ids.end());
+        if (order == 2)
+            for (uint64_t i = 0; i < kReqs; ++i)  // a fixed shuffle
+                std::swap(ids[i], ids[(i * 2654435761u) % kReqs]);
+        obs::JourneyRecorder rec(obs::JourneyMode::Sampled, kCap, kSeed);
+        captureIds(&rec, ids, stormLatency);
+        EXPECT_EQ(rec.seen(), kReqs);
+        EXPECT_TRUE(identicalRecords(stderr,
+                                     "order " + std::to_string(order),
+                                     want, rec.snapshot()));
     }
+
+    // Equal keys: zero latencies all map to key 0, and the smallest
+    // reqIds win the tie.
+    obs::JourneyRecorder ties(obs::JourneyMode::Sampled, 4, kSeed);
+    std::vector<uint64_t> rev = iota(100);
+    std::reverse(rev.begin(), rev.end());
+    captureIds(&ties, rev, [](uint64_t) { return 0.0; });
+    auto snap = ties.snapshot();
+    ASSERT_EQ(snap.size(), 4u);
+    for (uint64_t i = 0; i < 4; ++i)
+        EXPECT_EQ(snap[i].reqId, i);
 }
 
 TEST(JourneyRecorder, ReservoirIsLatencyBiased)
@@ -660,7 +718,7 @@ TEST(JourneyRecorder, ReservoirIsLatencyBiased)
     // (weight / Exp(1)) the sampled set must be dominated by them.
     constexpr uint64_t kReqs = 8192;
     obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 64);
-    offerStorm(&rec, kReqs, 1);
+    captureStorm(&rec, kReqs);
     auto snap = rec.snapshot();
     ASSERT_EQ(snap.size(), 64u);
     size_t heavy = 0;
@@ -673,7 +731,7 @@ TEST(JourneyRecorder, ReservoirIsLatencyBiased)
 TEST(JourneyRecorder, ClearResetsEverything)
 {
     obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 4);
-    offerStorm(&rec, 256, 1);
+    captureStorm(&rec, 256);
     EXPECT_GT(rec.seen(), 0u);
     EXPECT_GT(rec.kept(), 0u);
     rec.clear();
@@ -681,7 +739,7 @@ TEST(JourneyRecorder, ClearResetsEverything)
     EXPECT_EQ(rec.kept(), 0u);
     EXPECT_TRUE(rec.snapshot().empty());
     // And it keeps working after the reset.
-    offerStorm(&rec, 256, 1);
+    captureStorm(&rec, 256);
     EXPECT_EQ(rec.seen(), 256u);
     EXPECT_GT(rec.kept(), 0u);
 }
@@ -731,7 +789,7 @@ TEST(BatchAnatomyRecorder, RowsMatchEngineTotals)
 TEST(JourneyMetrics, PublishedIntoRegistry)
 {
     obs::JourneyRecorder rec(obs::JourneyMode::Sampled, 16);
-    offerStorm(&rec, 512, 1);
+    captureStorm(&rec, 512);
     auto rep = obs::buildAnatomy(rec.snapshot());
     obs::Registry reg;
     obs::recordJourneyMetrics(&reg, rec, rep);

@@ -637,6 +637,35 @@ TEST(ClusterJourneys, FlagsAndExactDecompositionAcrossShards)
     EXPECT_GT(blocked, 0u);
 }
 
+TEST(ClusterJourneys, SampledJourneysEqualTheirAllModeRecords)
+{
+    // A sampled journey is built by the same code as its All-mode
+    // twin: record for record, whichever requests the sample picks,
+    // at any shard count. The unsplit case covers reconvergence stalls.
+    for (bool split : {true, false}) {
+        ClusterConfig cfg = smallCluster(true, split);
+        cfg.requests = 3000;
+        for (int shards : {1, 4}) {
+            obs::JourneyRecorder sampled(obs::JourneyMode::Sampled, 64);
+            obs::JourneyRecorder all(obs::JourneyMode::All, 64);
+            runClusterWithJourneys(cfg, shards, 2, &sampled);
+            runClusterWithJourneys(cfg, shards, 2, &all);
+            const std::vector<obs::Journey> every = all.snapshot();
+            ASSERT_EQ(every.size(), cfg.requests);
+            const std::vector<obs::Journey> picked = sampled.snapshot();
+            ASSERT_EQ(picked.size(), 64u);
+            std::vector<obs::Journey> twins;
+            for (const obs::Journey &j : picked)
+                twins.push_back(every[j.reqId]);  // All mode: by reqId
+            EXPECT_TRUE(identicalRecords(
+                stderr,
+                std::string(split ? "split" : "unsplit") + ", shards " +
+                    std::to_string(shards),
+                twins, picked));
+        }
+    }
+}
+
 TEST(ClusterTrace, ShardedTimelineBalancesAndNeverPerturbs)
 {
     // Shard workers emit into one mutex-protected tracer: every
