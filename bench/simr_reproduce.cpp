@@ -837,13 +837,14 @@ Render
 extMultibatch(Plan &p, const RunScale &scale)
 {
     const TimingOptions opt = timingOptions(scale);
-    // Per service: 1, 2 and 4 contexts, at the master seed.
+    // Per service: 1, 2 and 4 contexts. One context is the default
+    // RPU, so those cells are the ones Figs. 19-21 run.
     std::vector<Handle<Cell>> runs;
     for (const auto &name : svc::serviceNames()) {
         for (int contexts : {1, 2, 4}) {
             auto cfg = core::makeRpuConfig();
             cfg.smtThreads = contexts;
-            runs.push_back(p.add(Cell{name, cfg, opt}));
+            runs.push_back(cell(p, name, cfg, opt));
         }
     }
     return [&p, runs] {
@@ -879,16 +880,16 @@ extMultibatch(Plan &p, const RunScale &scale)
  * Extension: GPGPU on the RPU (Section VI-D): "GPUs will likely remain
  * the most energy efficient for GPGPU workloads, but we claim RPUs will
  * not be far behind." A saxpy-like SPMD kernel on all three design
- * points, at the master seed.
+ * points.
  */
 Render
 extGpgpu(Plan &p, const RunScale &scale)
 {
     const TimingOptions opt = timingOptions(scale);
     const std::string name = "gpgpu-saxpy";
-    auto cpu = p.add(Cell{name, core::makeCpuConfig(), opt});
-    auto rpu = p.add(Cell{name, core::makeRpuConfig(), opt});
-    auto gpu = p.add(Cell{name, core::makeGpuConfig(), opt});
+    auto cpu = cell(p, name, core::makeCpuConfig(), opt);
+    auto rpu = cell(p, name, core::makeRpuConfig(), opt);
+    auto gpu = cell(p, name, core::makeGpuConfig(), opt);
     auto eff = p.add(EffProbe{name, batch::Policy::PerApiArgSize,
                               simt::ReconvPolicy::MinSpPc, 32,
                               opt.requests, scale.seed});
