@@ -199,7 +199,9 @@ choiceFlag(int argc, char **argv, const char *name,
             *out = v;
             return true;
         }
-        list += (list.empty() ? "" : "|") + std::string(c);
+        if (!list.empty())
+            list += '|';
+        list += c;
     }
     std::fprintf(stderr, "%s: expected one of %s, got '%s'\n", name,
                  list.c_str(), v.c_str());
