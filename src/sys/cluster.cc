@@ -654,6 +654,8 @@ ClusterModel::buildJourney(uint32_t rid, uint64_t b) const
     const double storage_done =
         fl.start[kTierStorage] + tierLatency_[kTierStorage];
     const double reconv = storage_done + net;
+    // Done after the storage visit: a miss, or a hit of an unsplit
+    // batch waiting at the reconvergence point for its batch mates.
     const bool slow = is_miss || (any_miss && !split);
     const double done = slow ? storage_done + 2 * net : hit_done;
 
