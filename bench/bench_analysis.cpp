@@ -82,7 +82,7 @@ BM_Dataflow(benchmark::State &state, const char *name)
 BENCHMARK_CAPTURE(BM_Dataflow, memc, "memc");
 BENCHMARK_CAPTURE(BM_Dataflow, post, "post");
 
-/** The cached gate: what every runner entry point actually pays. */
+/** The gate: what every runner entry point pays. */
 void
 BM_GateAndProve(benchmark::State &state)
 {
@@ -134,7 +134,7 @@ struct GateResult
  */
 void
 verifyUniformity(const svc::Service &svc,
-                 const analysis::CachedAnalysis &ca,
+                 const analysis::ProgramAnalysis &ca,
                  simt::ReconvPolicy reconv, batch::Policy policy,
                  int requests, GateResult *out)
 {
@@ -190,7 +190,7 @@ runGate()
     for (const auto &name : svc::serviceNames()) {
         auto svc = svc::buildService(name);
         auto ca = analysis::analyzeAndProve(svc->program());
-        if (!ca->report.ok() || ca->proof == nullptr) {
+        if (!ca.report.ok() || ca.proof == nullptr) {
             ++res.failures;
             std::printf("  %s: FAIL analyzer reported errors\n",
                         name.c_str());
@@ -198,7 +198,7 @@ runGate()
         }
         for (auto reconv : reconvs)
             for (auto policy : policies)
-                verifyUniformity(*svc, *ca, reconv, policy,
+                verifyUniformity(*svc, ca, reconv, policy,
                                  kBatchRequests, &res);
         ++services;
     }

@@ -26,7 +26,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -118,10 +117,7 @@ compareConfig(const core::CoreConfig &cfg, const TimingOptions &opt,
 int
 main(int argc, char **argv)
 {
-    bool verify_only = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--verify") == 0)
-            verify_only = true;
+    const bool verify_only = onlyFlag(argc, argv, "--verify");
 
     RunScale scale = RunScale::fromEnv();
     TimingOptions opt;

@@ -16,10 +16,11 @@
  *     (sinks observe, they never perturb), and the profiler's per-PC
  *     sums equal the engine totals;
  *   - overhead: the always-on sinks (metrics registry + divergence
- *     profiler) cost < 2% wall-clock on the hot path. The full span
- *     timeline -- one event per issue window -- is a per-request debug
- *     artifact and is reported separately (it is O(mask changes), so
- *     a highly divergent service pays ~10%).
+ *     profiler) cost < 2% on the hot path. The full span timeline --
+ *     one event per issue window -- is a per-request debug artifact
+ *     and is reported separately (it is O(mask changes), so a highly
+ *     divergent service pays ~10%). Both are measured as the journey
+ *     line is: thread CPU time over ABBA blocks (abbaRatios).
  *
  * A second section measures the journey recorder (obs/journey.h) on
  * the system simulator: the always-on sampled mode against journeys
@@ -36,16 +37,15 @@
  * sampled / full, at harness thread counts 1 and 4, and the sampled
  * journey set itself must not depend on the thread count.
  *
- * Emits BENCH_obs.json (stdout line + file). Exit code 1 on a
- * determinism failure or a blown journey overhead budget; the lockstep
- * sink overhead figures are reported, not gated (wall-clock on shared
- * CI boxes is noisy).
+ * Emits BENCH_obs.json (stdout line + file; "pass" is the exit
+ * verdict). Exit code 1 on a determinism failure or a blown journey
+ * overhead budget; the lockstep sink overhead figures are reported,
+ * not gated.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <string>
 #include <vector>
@@ -66,12 +66,6 @@ using namespace simr;
 namespace
 {
 
-struct ModeResult
-{
-    double secs = 0;
-    simt::SimtStats stats;
-};
-
 /**
  * Thread CPU time. The journey overhead measurement resolves
  * single-digit nanoseconds per request on shared CI boxes; thread
@@ -90,6 +84,45 @@ threadSeconds()
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+}
+
+/**
+ * Overhead of modes 1..n-1 against mode 0, resolved to single-digit
+ * nanoseconds per request on a machine whose clock drifts more than
+ * that between reps: thread cputime (no co-tenant steal), ABBA blocks
+ * (no order effect or linear drift) and the median of the per-block
+ * ratios (robust to outlier blocks). Each block runs the modes forward
+ * then backward -- 0, 1, ..., n-1, n-1, ..., 1, 0 -- so every pair of
+ * modes sits symmetrically in it. Block -1 is an untimed warm-up
+ * (first-touch page faults and clock ramp land there). Returns the
+ * median block-time ratio of each mode to mode 0 (entry 0 is 1) and
+ * lowers *base to the fastest single mode-0 run.
+ */
+template <typename Run>
+std::vector<double>
+abbaRatios(int modes, int blocks, Run &&run, double *base)
+{
+    std::vector<std::vector<double>> ratios(static_cast<size_t>(modes));
+    for (int b = -1; b < blocks; ++b) {
+        std::vector<double> secs(static_cast<size_t>(modes), 0.0);
+        for (int i = 0; i < 2 * modes; ++i) {
+            const int m = i < modes ? i : 2 * modes - 1 - i;
+            const double t0 = threadSeconds();
+            run(m);
+            secs[static_cast<size_t>(m)] += threadSeconds() - t0;
+        }
+        if (b < 0)
+            continue;
+        for (size_t m = 0; m < secs.size(); ++m)
+            ratios[m].push_back(secs[m] / secs[0]);
+        *base = *base == 0 ? secs[0] / 2 : std::min(*base, secs[0] / 2);
+    }
+    std::vector<double> med;
+    for (auto &r : ratios) {
+        std::sort(r.begin(), r.end());
+        med.push_back(r[r.size() / 2]);
+    }
+    return med;
 }
 
 /** One scenario cell of the journey determinism gate. */
@@ -187,8 +220,9 @@ verifyJourneys(uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    const bool verify = onlyFlag(argc, argv, "--verify-journeys");
     RunScale scale = RunScale::fromEnv();
-    if (argc > 1 && std::strcmp(argv[1], "--verify-journeys") == 0)
+    if (verify)
         return verifyJourneys(scale.seed);
     int requests = static_cast<int>(scale.timingRequests) * 4;
     const int reps = 3;
@@ -196,9 +230,9 @@ main(int argc, char **argv)
                                          "user"};
 
     Table t("Observability overhead (" + std::to_string(requests) +
-            " requests x " + std::to_string(reps) + " reps)");
-    t.header({"service", "off (s)", "profile (s)", "trace (s)",
-              "sink ovh", "deterministic"});
+            " requests, median of " + std::to_string(reps) +
+            " ABBA blocks)");
+    t.header({"service", "off (s)", "sink ovh", "trace ovh", "identical"});
 
     bool all_ok = true;
     double off_total = 0, prof_total = 0, trace_total = 0;
@@ -209,87 +243,70 @@ main(int argc, char **argv)
             return 1;
         }
 
-        auto timeMode = [&](int mode) {
-            ModeResult r;
+        // Mode 0: no observer; 1: the profiler; 2: profiler + spans.
+        simt::SimtStats stats[3];
+        auto runMode = [&](int mode) {
             obs::Registry reg;
             obs::Scope scope(&reg);
-            auto t0 = std::chrono::steady_clock::now();
-            for (int rep = 0; rep < reps; ++rep) {
-                obs::DivergenceProfiler prof(svc->program());
-                obs::Tracer tracer;
-                obs::SpanRecorder spans(&tracer, 1, 1);
-                obs::MultiObserver tee({&prof, &spans});
-                simt::LockstepObserver *o =
-                    mode == 0 ? nullptr :
-                    mode == 1 ? static_cast<simt::LockstepObserver *>(
-                        &prof) : &tee;
-                auto res = measureEfficiency(
-                    *svc, batch::Policy::PerApiArgSize,
-                    simt::ReconvPolicy::MinSpPc, 32, requests,
-                    scale.seed, o);
-                r.stats = res.stats;
-                if (mode != 0 &&
-                    (prof.totalMaskedSlots() != res.stats.maskedSlots ||
-                     prof.totalDivergeEvents() !=
-                         res.stats.divergeEvents ||
-                     prof.totalReconvMerges() !=
-                         res.stats.reconvMerges)) {
-                    std::fprintf(stderr,
-                                 "%s: profiler attribution diverged "
-                                 "from engine totals\n", name.c_str());
-                    all_ok = false;
-                }
+            obs::DivergenceProfiler prof(svc->program());
+            obs::Tracer tracer;
+            obs::SpanRecorder spans(&tracer, 1, 1);
+            obs::MultiObserver tee({&prof, &spans});
+            simt::LockstepObserver *o =
+                mode == 0 ? nullptr :
+                mode == 1 ? static_cast<simt::LockstepObserver *>(&prof) :
+                &tee;
+            auto res = measureEfficiency(
+                *svc, batch::Policy::PerApiArgSize,
+                simt::ReconvPolicy::MinSpPc, 32, requests, scale.seed, o);
+            stats[mode] = res.stats;
+            if (mode != 0 &&
+                (prof.totalMaskedSlots() != res.stats.maskedSlots ||
+                 prof.totalDivergeEvents() != res.stats.divergeEvents ||
+                 prof.totalReconvMerges() != res.stats.reconvMerges)) {
+                std::fprintf(stderr,
+                             "%s: profiler attribution diverged "
+                             "from engine totals\n", name.c_str());
+                all_ok = false;
             }
-            auto t1 = std::chrono::steady_clock::now();
-            r.secs = std::chrono::duration<double>(t1 - t0).count();
-            return r;
         };
-
-        ModeResult off = timeMode(0);
-        ModeResult prof = timeMode(1);
-        ModeResult traced = timeMode(2);
+        double off = 0;
+        const std::vector<double> r = abbaRatios(3, reps, runMode, &off);
 
         bool same =
-            identicalRecords(stderr, name + " profile", off.stats,
-                             prof.stats) &&
-            identicalRecords(stderr, name + " trace", off.stats,
-                             traced.stats);
+            identicalRecords(stderr, name + " profile", stats[0],
+                             stats[1]) &&
+            identicalRecords(stderr, name + " trace", stats[0], stats[2]);
         all_ok = all_ok && same;
-        off_total += off.secs;
-        prof_total += prof.secs;
-        trace_total += traced.secs;
+        off_total += off;
+        prof_total += off * r[1];
+        trace_total += off * r[2];
 
-        double ovh = off.secs > 0 ?
-            100.0 * (prof.secs - off.secs) / off.secs : 0.0;
-        char ovh_buf[32];
-        std::snprintf(ovh_buf, sizeof(ovh_buf), "%+.1f%%", ovh);
-        t.row({name, Table::num(off.secs, 3),
-               Table::num(prof.secs, 3), Table::num(traced.secs, 3),
-               ovh_buf, same ? "yes" : "NO"});
+        char ovh[2][32];
+        for (int m = 0; m < 2; ++m)
+            std::snprintf(ovh[m], sizeof(ovh[m]), "%+.1f%%",
+                          100.0 * (r[static_cast<size_t>(m) + 1] - 1.0));
+        t.row({name, Table::num(off, 3), ovh[0], ovh[1],
+               same ? "yes" : "NO"});
     }
     t.print();
 
-    double overhead_pct = off_total > 0 ?
-        100.0 * (prof_total - off_total) / off_total : 0.0;
-    double trace_overhead_pct = off_total > 0 ?
-        100.0 * (trace_total - off_total) / off_total : 0.0;
+    double overhead_pct = 100.0 * (prof_total - off_total) / off_total;
+    double trace_overhead_pct =
+        100.0 * (trace_total - off_total) / off_total;
     std::printf("aggregate always-on sink overhead: %+.2f%% "
-                "(target < 2%%); full span timeline: %+.2f%%\n",
+                "(target < 2%%); full span timeline: %+.2f%% "
+                "(off-time weighted)\n",
                 overhead_pct, trace_overhead_pct);
 
     // --- Journey recorder overhead on the system simulator ----------
     // Sampled capture adds a few nanoseconds per request (the flight
     // writes and the post-run key pass) next to a ~70ns simulation
-    // step, so the measurement must resolve single-digit nanoseconds
-    // per request on a machine whose clock drifts more than that
-    // between reps: thread cputime (no co-tenant
-    // steal), ABBA blocks (no order effect or linear drift), and the
-    // median of the per-block overhead ratios (robust to outlier
-    // blocks). Sampled mode is gated (<2% always-on budget). Full
-    // capture materializes every journey, so it runs at a smaller
-    // request count against its own matching baseline and is reported
-    // only. SysResult identity across modes is the no-perturbation
-    // invariant.
+    // step, measured with abbaRatios. Sampled mode is gated (<2%
+    // always-on budget). Full capture materializes every journey, so
+    // it runs at a smaller request count against its own matching
+    // baseline and is reported only. SysResult identity across modes
+    // is the no-perturbation invariant.
     const int sys_requests = 2000000;
     const int sys_reps = 7;
     const int all_requests = 200000;
@@ -299,32 +316,11 @@ main(int argc, char **argv)
     double joff_min = 0;
     const obs::JourneyMode jmodes[] = {obs::JourneyMode::Off,
                                        obs::JourneyMode::Sampled};
-    // One measurement round. rep -1 is an untimed warm-up block
-    // (first-touch page faults and clock ramp land there, not in a
-    // measured ratio). Each measured rep is an ABBA block -- off,
-    // sampled, sampled, off -- whose pooled ratio cancels both the
-    // order effect (the later run of a pair is systematically warmer)
-    // and any drift that is linear across the block.
     auto measureSampled = [&]() {
-        std::vector<double> jratio;
-        for (int rep = -1; rep < sys_reps; ++rep) {
-            const int order[4] = {0, 1, 1, 0};
-            double secs[2] = {0, 0};
-            for (int i = 0; i < 4; ++i) {
-                int m = order[i];
-                double t0 = threadSeconds();
-                jres[m] = runSysCell(jcell, sys_requests, scale.seed,
-                                     jmodes[m], nullptr);
-                secs[m] += threadSeconds() - t0;
-            }
-            if (rep < 0)
-                continue;
-            jratio.push_back(secs[1] / secs[0]);
-            double off = secs[0] / 2;
-            joff_min = joff_min == 0 ? off : std::min(joff_min, off);
-        }
-        std::sort(jratio.begin(), jratio.end());
-        return jratio[jratio.size() / 2];
+        return abbaRatios(2, sys_reps, [&](int m) {
+            jres[m] = runSysCell(jcell, sys_requests, scale.seed, jmodes[m],
+                                 nullptr);
+        }, &joff_min)[1];
     };
     // Co-tenant interference on a shared box only ever inflates a
     // round's median, so when a round lands over budget the best
@@ -379,7 +375,7 @@ main(int argc, char **argv)
         ", \"journey_all_overhead_pct\": " + jabuf +
         ", \"journeys_identical\": " +
         (journeys_identical ? "true" : "false") +
-        ", \"deterministic\": " + (all_ok ? "true" : "false") + "}";
+        ", \"pass\": " + (all_ok ? "true" : "false") + "}";
     std::printf("BENCH_obs.json: %s\n", json.c_str());
     if (FILE *f = std::fopen("BENCH_obs.json", "w")) {
         std::fprintf(f, "%s\n", json.c_str());

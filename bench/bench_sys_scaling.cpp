@@ -24,7 +24,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -278,8 +277,9 @@ runScaling(uint64_t seed)
 int
 main(int argc, char **argv)
 {
+    const bool verify = onlyFlag(argc, argv, "--verify");
     uint64_t seed = RunScale::fromEnv().seed;
-    if (argc > 1 && std::strcmp(argv[1], "--verify") == 0)
+    if (verify)
         return verifyPdes(seed);
     return runScaling(seed);
 }

@@ -54,12 +54,6 @@ runItem(const CacheProbe &p)
         studyCpuCache(*svc, p.opt);
 }
 
-tune::TunePoint
-runItem(const TuneProbe &p)
-{
-    return tune::probeBatchSize(*service(p.service), p.batch, p.cfg);
-}
-
 sys::SysResult
 runItem(const sys::SysConfig &cfg)
 {

@@ -18,7 +18,6 @@
 
 #include "simr/cachestudy.h"
 #include "simr/runner.h"
-#include "simr/tuner.h"
 #include "sys/uqsim.h"
 
 namespace simr::bench
@@ -48,16 +47,6 @@ struct CacheProbe
     bool operator==(const CacheProbe &) const = default;
 };
 
-/** One batch-size tuner candidate: tune::probeBatchSize. */
-struct TuneProbe
-{
-    std::string service;
-    int batch = 0;
-    tune::TunerConfig cfg;
-
-    bool operator==(const TuneProbe &) const = default;
-};
-
 /** @name Running one plan item
  *  A timing Cell runs with the seed it carries; whoever declares a
  *  runCells-style cell applies cellSeed first. */
@@ -65,7 +54,6 @@ struct TuneProbe
 TimingRun runItem(const Cell &cell);
 EfficiencyResult runItem(const EffProbe &probe);
 CacheStudyResult runItem(const CacheProbe &probe);
-tune::TunePoint runItem(const TuneProbe &probe);
 sys::SysResult runItem(const sys::SysConfig &cfg);
 /// @}
 
@@ -133,9 +121,8 @@ class Plan
     };
 
     std::tuple<Kind<Cell>, Kind<EffProbe>, Kind<CacheProbe>,
-               Kind<TuneProbe>, Kind<sys::SysConfig>>
-        kinds_{"timing", "efficiency", "cache_study", "tune_probe",
-               "system"};
+               Kind<sys::SysConfig>>
+        kinds_{"timing", "efficiency", "cache_study", "system"};
     int workers_ = 0;
     double wallS_ = 0, cpuS_ = 0, busyS_ = 0;
 };

@@ -33,6 +33,7 @@
 #include "common/table.h"
 #include "energy/area.h"
 #include "plan.h"
+#include "simr/tuner.h"
 
 using namespace simr;
 using namespace simr::bench;
@@ -790,12 +791,14 @@ extTuner(Plan &p, const RunScale &scale)
     tune::TunerConfig cfg;
     cfg.seed = scale.seed;
     std::vector<int> hand;
-    std::vector<std::vector<Handle<TuneProbe>>> probes;
+    // Per service, one RPU cache study per candidate batch size.
+    std::vector<std::vector<Handle<CacheProbe>>> probes;
     for (const auto &name : svc::serviceNames()) {
         hand.push_back(svc::buildService(name)->traits().tunedBatch);
         probes.emplace_back();
         for (int bs : cfg.candidates)
-            probes.back().push_back(p.add(TuneProbe{name, bs, cfg}));
+            probes.back().push_back(p.add(
+                CacheProbe{name, true, bs, tune::profileStudy(cfg)}));
     }
     return [&p, cfg, hand, probes] {
         int agree = 0;
@@ -806,8 +809,9 @@ extTuner(Plan &p, const RunScale &scale)
              {"eff@choice", pct}},
             [&](size_t i) -> std::vector<double> {
                 std::vector<tune::TunePoint> points;
-                for (auto h : probes[i])
-                    points.push_back(p[h]);
+                for (size_t c = 0; c < probes[i].size(); ++c)
+                    points.push_back(tune::pointOf(cfg.candidates[c],
+                                                   p[probes[i][c]]));
                 auto r = tune::chooseBatch(points, cfg);
                 tune::TunePoint at32, chosen;
                 for (const auto &pt : r.points) {

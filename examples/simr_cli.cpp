@@ -32,7 +32,6 @@
 #include "obs/journey.h"
 #include "obs/spans.h"
 #include "obs/trace.h"
-#include "simr/cachestudy.h"
 #include "simr/runner.h"
 #include "simr/tuner.h"
 #include "sys/cluster.h"
@@ -673,11 +672,6 @@ cmdStats(const std::string &service, int argc, char **argv)
         runTiming(*svc, cfg, opt);
     }
 
-    // Analysis-cache totals depend on cross-thread scheduling, so
-    // runCells never records them into its deterministic per-cell
-    // registries; snapshot them here, once, right before exposition.
-    recordAnalysisStats();
-
     if (has(argc, argv, "--json"))
         std::printf("%s", reg.jsonPage().c_str());
     else
@@ -703,7 +697,7 @@ traceChipLevel(const svc::Service &svc, const std::string &name,
 
     obs::DivergenceProfiler prof(svc.program());
     prof.setStaticHints(
-        analysis::gateAndProve(svc.program())->report.dataflow);
+        analysis::gateAndProve(svc.program()).report.dataflow);
     obs::SpanRecorder spans(tr, kChipPid, 1);
     obs::MultiObserver tee({&prof, &spans});
     if (bar)
@@ -948,7 +942,7 @@ cmdHotspots(const std::string &target, int argc, char **argv)
             return 2;
         obs::DivergenceProfiler prof(svc->program());
         prof.setStaticHints(
-            analysis::gateAndProve(svc->program())->report.dataflow);
+            analysis::gateAndProve(svc->program()).report.dataflow);
         auto r = measureEfficiency(*svc, batch::Policy::PerApiArgSize,
                                    simt::ReconvPolicy::MinSpPc, width,
                                    requests, 42, &prof);

@@ -8,80 +8,27 @@
 namespace simr::analysis
 {
 
-std::shared_ptr<const CachedAnalysis>
+ProgramAnalysis
 analyzeAndProve(const isa::Program &prog)
 {
-    auto entry = std::make_shared<CachedAnalysis>();
-    entry->report = analyze(prog);
-    if (entry->report.ok()) {
+    ProgramAnalysis a;
+    a.report = analyze(prog);
+    if (a.report.ok()) {
         // A laid-out, structurally valid program: the fingerprint and
         // the proof's flat table are both well defined.
-        entry->fingerprint = programFingerprint(prog);
-        entry->proof = buildStaticProof(prog, entry->report.dataflow);
+        a.fingerprint = programFingerprint(prog);
+        a.proof = buildStaticProof(prog, a.report.dataflow);
     }
-    return entry;
+    return a;
 }
 
-AnalysisCache &
-AnalysisCache::process()
-{
-    // Leaked singleton: no destructor runs at exit, so there is no
-    // teardown-order hazard with worker threads still using it.
-    static AnalysisCache *cache = new AnalysisCache();
-    return *cache;
-}
-
-std::shared_ptr<const CachedAnalysis>
-AnalysisCache::get(const isa::Program &prog)
-{
-    uint64_t fp = programFingerprint(prog);
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        auto it = map_.find(fp);
-        if (it != map_.end()) {
-            ++hits_;
-            return it->second;
-        }
-    }
-    // Analyze outside the lock: fixpoints are slow and pure, and two
-    // racing workers computing the same entry is harmless (one wins).
-    std::shared_ptr<const CachedAnalysis> entry = analyzeAndProve(prog);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++misses_;
-    auto [it, inserted] = map_.emplace(fp, std::move(entry));
-    (void)inserted;
-    return it->second;
-}
-
-uint64_t
-AnalysisCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return hits_;
-}
-
-uint64_t
-AnalysisCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return misses_;
-}
-
-uint64_t
-AnalysisCache::entries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-}
-
-std::shared_ptr<const CachedAnalysis>
+ProgramAnalysis
 gateAndProve(const isa::Program &prog)
 {
-    std::shared_ptr<const CachedAnalysis> entry =
-        AnalysisCache::process().get(prog);
-    const Report &r = entry->report;
+    ProgramAnalysis a = analyzeAndProve(prog);
+    const Report &r = a.report;
     if (r.ok())
-        return entry;
+        return a;
     for (const auto &d : r.diags)
         if (d.sev == Severity::Error)
             simr_warn("analysis: %s: %s", prog.name().c_str(),

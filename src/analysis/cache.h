@@ -1,19 +1,16 @@
 /**
  * @file
- * Process-wide analysis cache: one analyzer Report + StaticProof per
- * program content fingerprint. Runner entry points (measureEfficiency,
- * runTiming) and every cell of a sweep re-gate the same
- * service programs; the full analysis (CFG, dominators, two dataflow
- * fixpoints) is pure in the program content, so it is computed once and
- * shared.
+ * The pre-simulation gate: analyze a program and, when it is well
+ * formed, package its StaticProof. Every runner entry point
+ * (measureEfficiency, runTiming, the cache studies) gates through it.
+ * The analysis is cheap next to any run (tens of microseconds per
+ * program), so nothing is kept between calls.
  */
 
 #ifndef SIMR_ANALYSIS_CACHE_H
 #define SIMR_ANALYSIS_CACHE_H
 
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/diag.h"
 #include "isa/program.h"
@@ -22,50 +19,23 @@
 namespace simr::analysis
 {
 
-/** Everything the analyzer derives from one program, shareable. */
-struct CachedAnalysis
+/** Everything the analyzer derives from one program. */
+struct ProgramAnalysis
 {
     uint64_t fingerprint = 0;  ///< programFingerprint() content hash
     Report report;
     std::shared_ptr<const StaticProof> proof;  ///< null unless ok
 };
 
-/** Fingerprint-keyed store of analysis results. Thread-safe. */
-class AnalysisCache
-{
-  public:
-    /**
-     * The process-wide cache. Leaked singleton: never destroyed, so
-     * worker threads still running at exit can use it safely.
-     */
-    static AnalysisCache &process();
-
-    /** Analysis for `prog`, computing and retaining it on first use. */
-    std::shared_ptr<const CachedAnalysis> get(const isa::Program &prog);
-
-    uint64_t hits() const;
-    uint64_t misses() const;
-    uint64_t entries() const;
-
-  private:
-    mutable std::mutex mu_;
-    std::unordered_map<uint64_t, std::shared_ptr<const CachedAnalysis>>
-        map_;
-    uint64_t hits_ = 0;
-    uint64_t misses_ = 0;
-};
-
-/** Analyze `prog` (uncached): Report plus proof when the report is ok. */
-std::shared_ptr<const CachedAnalysis>
-analyzeAndProve(const isa::Program &prog);
+/** Analyze `prog`: Report plus proof when the report is ok. */
+ProgramAnalysis analyzeAndProve(const isa::Program &prog);
 
 /**
- * Pre-simulation gate, cached: simr_fatal (exit 1) listing the findings
- * when `prog` carries error-severity diagnostics, otherwise the shared
- * analysis with its StaticProof.
+ * Pre-simulation gate: simr_fatal (exit 1) listing the findings when
+ * `prog` carries error-severity diagnostics, otherwise its analysis
+ * with the StaticProof.
  */
-std::shared_ptr<const CachedAnalysis>
-gateAndProve(const isa::Program &prog);
+ProgramAnalysis gateAndProve(const isa::Program &prog);
 
 } // namespace simr::analysis
 

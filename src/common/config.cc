@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace simr
 {
@@ -24,6 +25,19 @@ envInt(const char *name, int64_t fallback, int64_t min)
         std::exit(2);
     }
     return x;
+}
+
+bool
+onlyFlag(int argc, char **argv, const char *flag)
+{
+    for (int i = 1; i < argc; ++i) {
+        if (i > 1 || std::strcmp(argv[i], flag) != 0) {
+            std::fprintf(stderr, "unexpected argument '%s'\nusage: %s [%s]\n",
+                         argv[i], argv[0], flag);
+            std::exit(2);
+        }
+    }
+    return argc > 1;
 }
 
 RunScale

@@ -21,6 +21,13 @@ namespace simr
 int64_t envInt(const char *name, int64_t fallback, int64_t min = 0);
 
 /**
+ * The command line of a program that takes at most one flag: true if
+ * it is `flag`, false if there are no arguments. Any other argument is
+ * a user error: prints why and exits with code 2.
+ */
+bool onlyFlag(int argc, char **argv, const char *flag);
+
+/**
  * Global run-scale knobs.
  *
  * requests  - number of requests per service for pure-analysis experiments

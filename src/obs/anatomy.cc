@@ -309,14 +309,6 @@ BatchAnatomyRecorder::onDiverge(isa::Pc pc, uint64_t opIdx)
 }
 
 void
-BatchAnatomyRecorder::onLaneRetire(int lane, uint64_t opIdx)
-{
-    (void)lane;
-    if (open_)
-        rows_.back().laneRetire.push_back(opIdx);
-}
-
-void
 BatchAnatomyRecorder::onBatchEnd(uint64_t batch, uint64_t opIdx)
 {
     (void)batch;

@@ -159,10 +159,10 @@ AnatomyReport buildAnatomy(const std::vector<Journey> &journeys,
 
 /**
  * Per-batch chip-layer accounting: a LockstepObserver that measures,
- * for every batch, its issue-window span on the batch-op clock, its
- * slot breakdown (masked / memory / compute) and per-lane retirement
- * times -- the data that links a journey's batch to its SIMT timeline
- * (trace flow events) and feeds ChipLink fractions.
+ * for every batch, its issue-window span on the batch-op clock and its
+ * slot breakdown (masked / memory / compute) -- the data that links a
+ * journey's batch to its SIMT timeline (trace flow events) and feeds
+ * ChipLink fractions.
  */
 class BatchAnatomyRecorder : public simt::LockstepObserver
 {
@@ -178,27 +178,11 @@ class BatchAnatomyRecorder : public simt::LockstepObserver
         uint64_t maskedSlots = 0;   ///< idle lane-slots
         uint64_t memSlots = 0;      ///< active slots on memory ops
         uint64_t divergeEvents = 0;
-        std::vector<uint64_t> laneRetire;  ///< retirement opIdx per lane
-
-        /** Intra-batch completion skew in ops (tail lane - first). */
-        uint64_t
-        retireSkew() const
-        {
-            if (laneRetire.size() < 2)
-                return 0;
-            uint64_t lo = laneRetire.front(), hi = laneRetire.front();
-            for (uint64_t r : laneRetire) {
-                lo = r < lo ? r : lo;
-                hi = r > hi ? r : hi;
-            }
-            return hi - lo;
-        }
     };
 
     void onBatchStart(uint64_t batch, int size, uint64_t opIdx) override;
     void onOp(const trace::DynOp &op, int width, uint64_t opIdx) override;
     void onDiverge(isa::Pc pc, uint64_t opIdx) override;
-    void onLaneRetire(int lane, uint64_t opIdx) override;
     void onBatchEnd(uint64_t batch, uint64_t opIdx) override;
 
     const std::vector<Row> &rows() const { return rows_; }

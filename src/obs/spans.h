@@ -118,13 +118,6 @@ class MultiObserver : public simt::LockstepObserver
     }
 
     void
-    onLaneRetire(int lane, uint64_t opIdx) override
-    {
-        for (auto *o : sinks_)
-            o->onLaneRetire(lane, opIdx);
-    }
-
-    void
     onBatchEnd(uint64_t batch, uint64_t opIdx) override
     {
         for (auto *o : sinks_)

@@ -9,8 +9,6 @@
 #ifndef SIMR_SIMR_CACHESTUDY_H
 #define SIMR_SIMR_CACHESTUDY_H
 
-#include "batching/policy.h"
-#include "mem/cache.h"
 #include "mem/coalescer.h"
 #include "services/service.h"
 #include "simt/lockstep.h"
@@ -21,7 +19,11 @@ namespace simr
 /** Outcome of one cache study. */
 struct CacheStudyResult
 {
-    uint64_t scalarInsts = 0;   ///< lane-level instructions executed
+    /**
+     * The run's lockstep statistics (RPU study); a CPU study fills only
+     * scalarOps, its instruction count.
+     */
+    simt::SimtStats simt;
     uint64_t laneAccesses = 0;  ///< memory requests before coalescing
     uint64_t l1Accesses = 0;    ///< L1 accesses after the MCU
     uint64_t l1Misses = 0;
@@ -31,8 +33,8 @@ struct CacheStudyResult
     double
     mpki() const
     {
-        return scalarInsts ? 1000.0 * static_cast<double>(l1Misses) /
-            static_cast<double>(scalarInsts) : 0.0;
+        return simt.scalarOps ? 1000.0 * static_cast<double>(l1Misses) /
+            static_cast<double>(simt.scalarOps) : 0.0;
     }
 };
 
@@ -42,14 +44,15 @@ struct CacheStudyOptions
     int requests = 640;
     uint64_t seed = 42;
     uint64_t l1KB = 256;           ///< RPU default (Table IV)
-    batch::Policy policy = batch::Policy::PerApiArgSize;
-    mem::AllocPolicy alloc = mem::AllocPolicy::SimrAware;
-    bool stackInterleave = true;
 
     bool operator==(const CacheStudyOptions &) const = default;
 };
 
-/** RPU-style study: lockstep batches through MCU + banked L1. */
+/**
+ * RPU-style study: a measureEfficiency run (per-API+arg-size batches,
+ * MinSP-PC, SIMR-aware allocator) whose every batch op goes through the
+ * MCU, with stack interleaving, and a banked L1.
+ */
 CacheStudyResult studyRpuCache(const svc::Service &svc, int batch_size,
                                const CacheStudyOptions &opt);
 

@@ -112,7 +112,7 @@ measureEfficiency(const svc::Service &svc, batch::Policy policy,
     simt::LockstepEngine engine(
         svc.program(), reconv, width,
         makeBatchProvider(svc, server.formBatches(reqs)));
-    engine.setStaticProof(ca->proof);
+    engine.setStaticProof(ca.proof);
     engine.setObserver(observer);
     trace::DynOp op;
     while (engine.next(op)) {
@@ -159,7 +159,7 @@ runTiming(const svc::Service &svc, const core::CoreConfig &cfg,
                 makeBatchProvider(
                     svc, std::move(per_engine[static_cast<size_t>(e)]),
                     opt.alloc));
-            engine->setStaticProof(ca->proof);
+            engine->setStaticProof(ca.proof);
             engines.push_back(engine.get());
             units.push_back(std::move(engine));
         }
@@ -246,18 +246,6 @@ runCells(const std::vector<Cell> &cells, int threads)
     for (const auto &reg : cellRegs)
         parent->merge(*reg);
     return out;
-}
-
-void
-recordAnalysisStats()
-{
-    const analysis::AnalysisCache &cache =
-        analysis::AnalysisCache::process();
-    obs::Registry *reg = obs::Scope::registry();
-    reg->counter("analysis.cache_hits")->inc(cache.hits());
-    reg->counter("analysis.cache_misses")->inc(cache.misses());
-    reg->gauge("analysis.cache_entries")->set(
-        static_cast<double>(cache.entries()));
 }
 
 } // namespace simr

@@ -139,16 +139,6 @@ uint64_t cellSeed(uint64_t master, const std::string &service,
 std::vector<TimingRun> runCells(const std::vector<Cell> &cells,
                                 int threads = 0);
 
-/**
- * Fold the process-wide analysis cache totals into the current scoped
- * registry: analysis.cache_hits / analysis.cache_misses counters and
- * the analysis.cache_entries gauge. Callers (simr_cli stats) invoke
- * this once, right before exposition; runCells deliberately does not --
- * hit/miss totals depend on cross-thread scheduling, and the per-cell
- * registries it merges must stay bit-identical at any thread count.
- */
-void recordAnalysisStats();
-
 } // namespace simr
 
 #endif // SIMR_SIMR_RUNNER_H

@@ -4,31 +4,36 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "simr/cachestudy.h"
-#include "simr/runner.h"
 
 namespace simr::tune
 {
+
+CacheStudyOptions
+profileStudy(const TunerConfig &cfg)
+{
+    CacheStudyOptions opt;
+    opt.requests = cfg.profileRequests;
+    opt.seed = cfg.seed;
+    opt.l1KB = cfg.l1KB;
+    return opt;
+}
+
+TunePoint
+pointOf(int batch_size, const CacheStudyResult &study)
+{
+    TunePoint p;
+    p.batchSize = batch_size;
+    p.mpki = study.mpki();
+    p.efficiency = study.simt.efficiency();
+    return p;
+}
 
 TunePoint
 probeBatchSize(const svc::Service &svc, int batch_size,
                const TunerConfig &cfg)
 {
-    CacheStudyOptions copt;
-    copt.requests = cfg.profileRequests;
-    copt.seed = cfg.seed;
-    copt.l1KB = cfg.l1KB;
-    auto cache = studyRpuCache(svc, batch_size, copt);
-
-    auto eff = measureEfficiency(svc, batch::Policy::PerApiArgSize,
-                                 simt::ReconvPolicy::MinSpPc, batch_size,
-                                 cfg.profileRequests, cfg.seed);
-
-    TunePoint p;
-    p.batchSize = batch_size;
-    p.mpki = cache.mpki();
-    p.efficiency = eff.efficiency();
-    return p;
+    return pointOf(batch_size,
+                   studyRpuCache(svc, batch_size, profileStudy(cfg)));
 }
 
 TuneResult

@@ -16,8 +16,7 @@
 
 #include <vector>
 
-#include "batching/policy.h"
-#include "services/service.h"
+#include "simr/cachestudy.h"
 
 namespace simr::tune
 {
@@ -58,9 +57,15 @@ struct TuneResult
     std::vector<TunePoint> points;
 };
 
+/** The RPU cache study that profiles every candidate batch size. */
+CacheStudyOptions profileStudy(const TunerConfig &cfg);
+
+/** One candidate's point: its study's L1 MPKI and SIMT efficiency. */
+TunePoint pointOf(int batch_size, const CacheStudyResult &study);
+
 /**
- * Profile one candidate batch size: an RPU cache study and a SIMT
- * efficiency probe over the profiling sample.
+ * Profile one candidate batch size: one RPU cache study over the
+ * profiling sample, whose lockstep run also gives the efficiency.
  */
 TunePoint probeBatchSize(const svc::Service &svc, int batch_size,
                          const TunerConfig &cfg);

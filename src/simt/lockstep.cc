@@ -48,10 +48,6 @@ LockstepObserver::onSpinEscape(int, isa::Pc, uint64_t)
 {}
 
 void
-LockstepObserver::onLaneRetire(int, uint64_t)
-{}
-
-void
 LockstepObserver::onBatchEnd(uint64_t, uint64_t)
 {}
 
@@ -220,11 +216,8 @@ LockstepEngine::execGroup(Mask mask, DynOp &op)
     if (op.pathSwitch)
         ++stats_.pathSwitches;
 
-    if (obs_) {
+    if (obs_)
         obs_->onOp(op, width_, stats_.batchOps);
-        for (Mask em = op.endMask; em; em &= em - 1)
-            obs_->onLaneRetire(__builtin_ctz(em), stats_.batchOps);
-    }
 }
 
 bool

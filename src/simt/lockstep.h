@@ -133,10 +133,6 @@ class LockstepObserver
     /** Spin-escape boosted `lane` parked at `pc`. */
     virtual void onSpinEscape(int lane, isa::Pc pc, uint64_t opIdx);
 
-    /** `lane`'s request retired with the op at `opIdx` (fires after
-     *  that op's onOp; intra-batch completion-skew attribution). */
-    virtual void onLaneRetire(int lane, uint64_t opIdx);
-
     /** The current batch retired (all lanes done). */
     virtual void onBatchEnd(uint64_t batch, uint64_t opIdx);
 };
@@ -164,9 +160,6 @@ class LockstepEngine : public trace::DynStream
     uint64_t requestsCompleted() const override { return completed_; }
 
     const SimtStats &stats() const { return stats_; }
-
-    /** True between batches (the last produced op finished a batch). */
-    bool atBatchBoundary() const { return !batchActive_; }
 
     /**
      * Attach an observability sink (nullptr detaches). The observer

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the SIMR-aware batching server and the batch splitter.
+ * Tests for the SIMR-aware batching server.
  */
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <map>
 
 #include "batching/policy.h"
-#include "batching/splitter.h"
 #include "common/rng.h"
 
 using namespace simr;
@@ -155,56 +154,4 @@ TEST(Batching, EmptyInput)
 {
     BatchingServer server(Policy::Naive, 32);
     EXPECT_TRUE(server.formBatches({}).empty());
-}
-
-TEST(Splitter, PartitionsByPredicate)
-{
-    Batch b;
-    for (int i = 0; i < 10; ++i) {
-        svc::Request r;
-        r.id = i;
-        b.requests.push_back(r);
-    }
-    auto res = splitBatch(b, [](const svc::Request &r) {
-        return r.id % 3 == 0;
-    });
-    EXPECT_EQ(res.blocked.size(), 4);
-    EXPECT_EQ(res.fast.size(), 6);
-    for (const auto &r : res.blocked.requests)
-        EXPECT_EQ(r.id % 3, 0);
-}
-
-TEST(Splitter, NullPredicateBlocksNothing)
-{
-    Batch b;
-    b.requests.resize(5);
-    auto res = splitBatch(b, nullptr);
-    EXPECT_EQ(res.fast.size(), 5);
-    EXPECT_EQ(res.blocked.size(), 0);
-}
-
-TEST(Splitter, RebatchOrphansFormsFullBatches)
-{
-    std::vector<Batch> orphans;
-    for (int i = 0; i < 10; ++i) {
-        Batch b;
-        b.requests.resize(5);
-        for (int k = 0; k < 5; ++k)
-            b.requests[static_cast<size_t>(k)].id = i * 5 + k;
-        orphans.push_back(b);
-    }
-    auto rebatched = rebatchOrphans(orphans, 32);
-    ASSERT_EQ(rebatched.size(), 2u);
-    EXPECT_EQ(rebatched[0].size(), 32);
-    EXPECT_EQ(rebatched[1].size(), 18);
-}
-
-TEST(Splitter, RebatchPreservesCount)
-{
-    std::vector<Batch> orphans(3);
-    orphans[0].requests.resize(7);
-    orphans[1].requests.resize(31);
-    orphans[2].requests.resize(2);
-    auto rebatched = rebatchOrphans(orphans, 8);
-    EXPECT_EQ(totalRequests(rebatched), 40);
 }

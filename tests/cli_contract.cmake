@@ -4,7 +4,8 @@
 # exception, an assertion abort or a silent fallback to a default.
 #
 # Usage: cmake -DCLI=<path to simr_cli> -DREPRODUCE=<path to
-#              simr_reproduce> -P cli_contract.cmake
+#              simr_reproduce> -DGATES=<directory of the gate benches>
+#              -P cli_contract.cmake
 
 # One invocation per entry: leading SIMR_*=value words set the
 # environment, the rest are the program's arguments. After " => " comes
@@ -46,6 +47,14 @@ set(reproduce_cases
     "--only fig05_bw_scaling --bogus => unexpected argument '--bogus'"
     "--only fig05_bw_scaling,bogus => unknown figure 'bogus'"
     "SIMR_REQUESTS=abc --only fig05_bw_scaling => SIMR_REQUESTS: expected .* got 'abc'")
+# The gate benches take one flag each; the first word names the bench.
+set(gate_cases
+    "bench_core_speed --verfy => unexpected argument '--verfy'"
+    "bench_core_speed --verify extra => unexpected argument 'extra'"
+    "bench_obs --verify => unexpected argument '--verify'"
+    "bench_obs --verify-journeys --verify-journeys => unexpected argument '--verify-journeys'"
+    "bench_sys_scaling --verfy => unexpected argument '--verfy'"
+    "bench_sys_scaling extra => unexpected argument 'extra'")
 
 function(expect_rejected program entry)
     string(FIND "${entry}" " => " sep)
@@ -80,4 +89,10 @@ foreach(case IN LISTS cli_cases)
 endforeach()
 foreach(case IN LISTS reproduce_cases)
     expect_rejected("${REPRODUCE}" "${case}")
+endforeach()
+foreach(case IN LISTS gate_cases)
+    string(REGEX MATCH "^[^ ]+" gate "${case}")
+    string(LENGTH "${gate} " skip)
+    string(SUBSTRING "${case}" ${skip} -1 rest)
+    expect_rejected("${GATES}/${gate}" "${rest}")
 endforeach()

@@ -4,9 +4,8 @@
  * (forward and backward), the three client analyses on adversarial
  * builder programs (identity-dependent branch, frame-escaping pointer,
  * scattered gather, control-dependent loop bound), the StaticProof
- * packaging, the fingerprint-keyed analysis cache, and the
- * deterministic (func, pc)-sorted JSON rendering the CLI golden output
- * relies on.
+ * packaging and the deterministic (func, pc)-sorted JSON rendering the
+ * CLI golden output relies on.
  */
 
 #include <gtest/gtest.h>
@@ -282,15 +281,15 @@ TEST(DataflowProof, TablesMirrorDataflowInfoForAllServices)
     for (const auto &name : svc::serviceNames()) {
         auto svc = svc::buildService(name);
         auto ca = analysis::analyzeAndProve(svc->program());
-        ASSERT_TRUE(ca->report.ok()) << name;
-        ASSERT_NE(ca->proof, nullptr) << name;
-        const DataflowInfo &df = ca->report.dataflow;
-        const analysis::StaticProof &proof = *ca->proof;
+        ASSERT_TRUE(ca.report.ok()) << name;
+        ASSERT_NE(ca.proof, nullptr) << name;
+        const DataflowInfo &df = ca.report.dataflow;
+        const analysis::StaticProof &proof = *ca.proof;
 
         EXPECT_EQ(proof.fingerprint,
                   analysis::programFingerprint(svc->program()))
             << name;
-        EXPECT_EQ(proof.fingerprint, ca->fingerprint) << name;
+        EXPECT_EQ(proof.fingerprint, ca.fingerprint) << name;
         EXPECT_EQ(proof.branchHint.size(),
                   svc->program().staticInstCount()) << name;
         for (const auto &bf : df.branches) {
@@ -301,34 +300,6 @@ TEST(DataflowProof, TablesMirrorDataflowInfoForAllServices)
             EXPECT_EQ(proof.hintAt(bf.pc), bf.uniformity) << name;
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Analysis cache: fingerprint-keyed sharing.
-// ---------------------------------------------------------------------------
-
-TEST(DataflowCache, GateAndProveSharesByFingerprint)
-{
-    const analysis::AnalysisCache &cache =
-        analysis::AnalysisCache::process();
-
-    auto svc = svc::buildService("memc");
-    auto a1 = analysis::gateAndProve(svc->program());
-    uint64_t hits0 = cache.hits();
-    auto a2 = analysis::gateAndProve(svc->program());
-    EXPECT_EQ(a1.get(), a2.get());            // shared, not re-analyzed
-    EXPECT_GT(cache.hits(), hits0);
-
-    // A different program is a different entry (fingerprint key).
-    auto other = svc::buildService("post");
-    auto a3 = analysis::gateAndProve(other->program());
-    EXPECT_NE(a3.get(), a1.get());
-    EXPECT_NE(a3->fingerprint, a1->fingerprint);
-
-    // An identical rebuild of the same service hits the same entry.
-    auto rebuilt = svc::buildService("memc");
-    auto a4 = analysis::gateAndProve(rebuilt->program());
-    EXPECT_EQ(a4.get(), a1.get());
 }
 
 // ---------------------------------------------------------------------------

@@ -292,9 +292,8 @@ TEST(DivergenceProfiler, StaticHintsSplitPredictedDivergence)
         EXPECT_EQ(prof.alwaysUniformViolations(), 0u) << name;
 
         auto ca = analysis::gateAndProve(svc->program());
-        ASSERT_NE(ca, nullptr) << name;
-        ASSERT_TRUE(ca->report.dataflow.ran) << name;
-        prof.setStaticHints(ca->report.dataflow);
+        ASSERT_TRUE(ca.report.dataflow.ran) << name;
+        prof.setStaticHints(ca.report.dataflow);
         EXPECT_GT(prof.predictedDivergeEvents(), 0u) << name;
         EXPECT_LE(prof.predictedDivergeEvents(),
                   prof.totalDivergeEvents()) << name;
@@ -762,13 +761,6 @@ TEST(BatchAnatomyRecorder, RowsMatchEngineTotals)
         diverges += row.divergeEvents;
         EXPECT_LE(row.memSlots, row.scalarOps);
         EXPECT_GE(row.endOp, row.startOp);
-        // Every lane retires exactly once, inside the issue window.
-        ASSERT_EQ(row.laneRetire.size(),
-                  static_cast<size_t>(row.size));
-        for (uint64_t at : row.laneRetire) {
-            EXPECT_GE(at, row.startOp);
-            EXPECT_LE(at, row.endOp);
-        }
     }
     EXPECT_EQ(ops, r.stats.batchOps);
     EXPECT_EQ(scalar, r.stats.scalarOps);

@@ -11,6 +11,7 @@
 
 #include "plan.h"
 #include "simr/records.h"
+#include "simr/tuner.h"
 
 using namespace simr;
 using namespace simr::bench;
@@ -72,7 +73,7 @@ TEST(Plan, RunMatchesDirectRuns)
                        simt::ReconvPolicy::MinSpPc, 8, 32, 3};
     tune::TunerConfig tcfg;
     tcfg.profileRequests = 32;
-    const TuneProbe probe{"user", 8, tcfg};
+    const CacheProbe probe{"user", true, 8, tune::profileStudy(tcfg)};
 
     Plan p;
     auto hc = p.add(cell);
@@ -91,7 +92,8 @@ TEST(Plan, RunMatchesDirectRuns)
         stderr, "efficiency", p[he].stats,
         measureEfficiency(*svc, eff.policy, eff.reconv, eff.width,
                           eff.requests, eff.seed).stats));
+    // A tuner candidate is its RPU cache study.
     auto direct = tune::probeBatchSize(*svc, 8, tcfg);
-    EXPECT_EQ(p[ht].mpki, direct.mpki);
-    EXPECT_EQ(p[ht].efficiency, direct.efficiency);
+    EXPECT_EQ(tune::pointOf(8, p[ht]).mpki, direct.mpki);
+    EXPECT_EQ(tune::pointOf(8, p[ht]).efficiency, direct.efficiency);
 }

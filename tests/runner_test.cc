@@ -183,9 +183,24 @@ TEST(CacheStudy, ScalarInstsMatchBetweenStudies)
     auto rpu = studyRpuCache(*svc, 32, opt);
     // Same requests, same per-thread work (different slot addresses
     // may shift data-dependent paths by a small margin only).
-    double diff = std::abs(static_cast<double>(cpu.scalarInsts) -
-                           static_cast<double>(rpu.scalarInsts));
-    EXPECT_LT(diff, 0.05 * static_cast<double>(cpu.scalarInsts));
+    double diff = std::abs(static_cast<double>(cpu.simt.scalarOps) -
+                           static_cast<double>(rpu.simt.scalarOps));
+    EXPECT_LT(diff, 0.05 * static_cast<double>(cpu.simt.scalarOps));
+}
+
+TEST(CacheStudy, RpuStudyIsTheEfficiencyRun)
+{
+    // The study's lockstep run is measureEfficiency's, so the tuner
+    // reads both of its numbers from one pass.
+    auto svc = svc::buildService("post");
+    CacheStudyOptions opt;
+    opt.requests = 128;
+    auto study = studyRpuCache(*svc, 16, opt);
+    auto eff = measureEfficiency(*svc, batch::Policy::PerApiArgSize,
+                                 simt::ReconvPolicy::MinSpPc, 16,
+                                 opt.requests, opt.seed);
+    EXPECT_TRUE(identicalRecords(stderr, "study", study.simt, eff.stats));
+    EXPECT_GT(study.simt.divergeEvents, 0u);
 }
 
 TEST(Tuner, RederivesFig15Rule)
