@@ -268,7 +268,7 @@ TimingCore::fetch(uint64_t cycle)
             e.reqStart = s.reqStart;
             e.issued = false;
             e.mispredicted = blocks_fetch;
-            s.doneAt[e.seq % kDoneRing] = UINT64_MAX;
+            s.doneAt[e.seq % s.doneAt.size()] = UINT64_MAX;
             ++robCount_;
             ++s.inFlight;
             s.hasPending = false;
@@ -321,12 +321,15 @@ TimingCore::issue(uint64_t cycle)
         if (cfg_.inOrder && e.seq != s.issuedSeq + 1)
             continue;
 
-        // Dependence check via the per-stream completion ring.
+        // Dependence check via the per-stream completion ring. A
+        // producer the stream already retired is complete.
         auto ready = [&](uint16_t dep) {
-            if (dep == 0 || dep >= kDoneRing || e.seq <= dep)
+            if (dep == 0 || e.seq <= dep)
                 return true;
             uint64_t pseq = e.seq - dep;
-            return s.doneAt[pseq % kDoneRing] <= cycle;
+            if (pseq <= s.committedSeq)
+                return true;
+            return s.doneAt[pseq % s.doneAt.size()] <= cycle;
         };
         if (!ready(e.op.dep1) || !ready(e.op.dep2)) {
             ++cycleStalls_[kStallDep];
@@ -377,7 +380,7 @@ TimingCore::issue(uint64_t cycle)
         e.issued = true;
         if (i == issuedPrefix_)
             ++issuedPrefix_;
-        s.doneAt[e.seq % kDoneRing] = e.doneCycle;
+        s.doneAt[e.seq % s.doneAt.size()] = e.doneCycle;
         if (cfg_.inOrder)
             s.issuedSeq = e.seq;
         --budget;
@@ -430,6 +433,7 @@ TimingCore::commit(uint64_t cycle)
         if (issuedPrefix_ > 0)
             --issuedPrefix_;
         --s.inFlight;
+        s.committedSeq = e.seq;
         --budget;
         ++committed;
     }
@@ -492,7 +496,7 @@ TimingCore::run(const std::vector<trace::DynStream *> &streams,
         streams_[i].stream = streams[i];
         streams_[i].bpred =
             std::make_unique<BatchBpred>(cfg_.majorityVoteBp);
-        streams_[i].doneAt.assign(kDoneRing, 0);
+        streams_[i].doneAt.assign(rob_.size(), 0);
     }
     robHead_ = 0;
     robCount_ = 0;

@@ -151,7 +151,13 @@ class TimingCore
         std::unique_ptr<BatchBpred> bpred;
         uint64_t fetchedSeq = 0;      ///< ops fetched so far
         uint64_t issuedSeq = 0;       ///< in-order issue cursor
-        std::vector<uint64_t> doneAt; ///< doneCycle ring, by seq
+        uint64_t committedSeq = 0;    ///< last op retired
+        /**
+         * doneCycle ring, by seq, one slot per ROB entry: a stream has
+         * at most robEntries ops in flight, so an in-flight producer
+         * owns its slot; a retired one is complete and not looked up.
+         */
+        std::vector<uint64_t> doneAt;
         bool exhausted = false;
         bool waitingBranch = false;   ///< unresolved blocking branch
         uint64_t stallUntil = 0;
@@ -229,8 +235,6 @@ class TimingCore
      * loop would).
      */
     uint64_t nextEventCycle(uint64_t cycle);
-
-    static constexpr size_t kDoneRing = 8192;
 
     CoreConfig cfg_;
     mem::AddressMap map_;
