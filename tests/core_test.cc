@@ -334,3 +334,214 @@ TEST(EventDriven, MatchesReferenceLoop)
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Stall-counter semantics, pinned over hand-built op streams. Every
+// case runs both loop modes. The per-cycle order is commit, issue,
+// fetch: ops fetched at cycle 0 first issue at cycle 1, and an op that
+// issues at cycle c with latency L wakes its consumers at c + L.
+
+namespace
+{
+
+/** Replays a fixed op list; no request bookkeeping. */
+class VectorStream : public trace::DynStream
+{
+  public:
+    explicit VectorStream(std::vector<trace::DynOp> ops)
+        : ops_(std::move(ops))
+    {}
+
+    bool
+    next(trace::DynOp &op) override
+    {
+        if (pos_ == ops_.size())
+            return false;
+        op.copyFrom(ops_[pos_++]);
+        return true;
+    }
+
+    uint64_t requestsCompleted() const override { return 0; }
+
+  private:
+    std::vector<trace::DynOp> ops_;
+    size_t pos_ = 0;
+};
+
+isa::StaticInst
+staticOf(isa::Op op)
+{
+    isa::StaticInst si;
+    si.op = op;
+    si.alu = isa::AluKind::Add;
+    return si;
+}
+
+const isa::StaticInst kAlu = staticOf(isa::Op::IAlu);
+const isa::StaticInst kDiv = staticOf(isa::Op::IDiv);
+const isa::StaticInst kFalu = staticOf(isa::Op::FAlu);
+const isa::StaticInst kLoad = staticOf(isa::Op::Load);
+
+trace::DynOp
+dynOf(const isa::StaticInst &si, uint16_t dep1 = 0, trace::Mask mask = 1)
+{
+    trace::DynOp op;
+    op.si = &si;
+    op.mask = mask;
+    op.dep1 = dep1;
+    return op;
+}
+
+/** A load of one 8-byte word, cold in every cache level. */
+trace::DynOp
+loadOf(uint64_t addr)
+{
+    trace::DynOp op = dynOf(kLoad);
+    op.accessSize = 8;
+    op.addrCount = 1;
+    op.lane[0] = 0;
+    op.addr[0] = addr;
+    return op;
+}
+
+/** One in-order-commit CPU core with no i-cache stalls. */
+CoreConfig
+quietCpu()
+{
+    CoreConfig cfg = makeCpuConfig();
+    cfg.icacheMpki = 0;
+    cfg.aluLat = 1;
+    cfg.divLat = 12;
+    return cfg;
+}
+
+/** Runs `ops` on one stream in both loop modes; returns the counters. */
+CounterSet
+stallsOf(CoreConfig cfg, const std::vector<trace::DynOp> &ops)
+{
+    CounterSet out;
+    for (bool event : {false, true}) {
+        cfg.eventDriven = event;
+        VectorStream s(ops);
+        TimingCore core(cfg);
+        CoreResult r = core.run({&s}, 1000000);
+        EXPECT_EQ(r.batchOps, ops.size());
+        if (event) {
+            EXPECT_EQ(r.counters.all(), out.all()) << "modes differ";
+        }
+        out = r.counters;
+    }
+    return out;
+}
+
+/** Latency of a cold load: a lone one issues at 1, retires at 1 + T. */
+uint64_t
+coldLoadLatency(uint64_t addr)
+{
+    VectorStream s({loadOf(addr)});
+    TimingCore core(quietCpu());
+    return core.run({&s}).cycles - 2;
+}
+
+} // namespace
+
+TEST(StallCounters, DependenceChainBehindLoad)
+{
+    // L; A1 <- L; A2 <- A1; A3 <- A2. Cycles 1..T: all three wait.
+    // Then one fewer waits each cycle as the chain drains.
+    const uint64_t t = coldLoadLatency(0x40000);
+    ASSERT_GT(t, 10u);
+    auto c = stallsOf(quietCpu(), {loadOf(0x40000), dynOf(kAlu, 1),
+                                   dynOf(kAlu, 1), dynOf(kAlu, 1)});
+    EXPECT_EQ(c.get("stall.dep"), 3 * t + 2 + 1);
+    EXPECT_EQ(c.get("stall.lsq"), 0u);
+    EXPECT_EQ(c.get("stall.port"), 0u);
+}
+
+TEST(StallCounters, IssueWidthStopsTheCount)
+{
+    // D (div, 12 cycles); X1 <- D; I1; X2 <- D; I2, two issue slots.
+    // Cycle 1: D issues, X1 waits, I1 takes the last slot; X2 and I2
+    // are not looked at. Cycle 2: X1 and X2 wait, I2 issues. Cycles
+    // 3..12: X1 and X2 wait. Cycle 13: both issue.
+    CoreConfig cfg = quietCpu();
+    cfg.issueWidth = 2;
+    auto c = stallsOf(cfg, {dynOf(kDiv), dynOf(kAlu, 1), dynOf(kAlu),
+                            dynOf(kAlu, 3), dynOf(kAlu)});
+    EXPECT_EQ(c.get("stall.dep"), 1u + 2u + 10u * 2u);
+}
+
+TEST(StallCounters, SchedWindowBoundsTheCount)
+{
+    // D; X1, X2, X3 <- D; I, with a two-entry window over unissued ops.
+    // Cycle 1: D issues, X1 waits (window full). Cycles 2..12: X1 and
+    // X2 wait; X3 and I are outside. Cycle 13: X1 and X2 issue; cycle
+    // 14: X3 and I.
+    CoreConfig cfg = quietCpu();
+    cfg.schedWindow = 2;
+    auto c = stallsOf(cfg, {dynOf(kDiv), dynOf(kAlu, 1), dynOf(kAlu, 2),
+                            dynOf(kAlu, 3), dynOf(kAlu)});
+    EXPECT_EQ(c.get("stall.dep"), 1u + 11u * 2u);
+}
+
+TEST(StallCounters, FullLsq)
+{
+    // Two independent loads, one LSQ entry: the second waits while the
+    // first is in flight (cycles 1..T), then issues.
+    const uint64_t t = coldLoadLatency(0x40000);
+    CoreConfig cfg = quietCpu();
+    cfg.lsqEntries = 1;
+    auto c = stallsOf(cfg, {loadOf(0x40000), loadOf(0x80000), dynOf(kAlu)});
+    EXPECT_EQ(c.get("stall.lsq"), t);
+    EXPECT_EQ(c.get("stall.dep"), 0u);
+}
+
+TEST(StallCounters, PortStarvation)
+{
+    // Three independent ALU ops, one ALU port: 2 wait at cycle 1, 1 at
+    // cycle 2.
+    CoreConfig cfg = quietCpu();
+    cfg.intAluPorts = 1;
+    auto c = stallsOf(cfg, {dynOf(kAlu), dynOf(kAlu), dynOf(kAlu)});
+    EXPECT_EQ(c.get("stall.port"), 3u);
+    EXPECT_EQ(c.get("stall.dep"), 0u);
+}
+
+TEST(StallCounters, InOrderCountsOnlyTheHead)
+{
+    // D; X1, X2 <- D; I. Out of order, X1 and X2 wait for cycles
+    // 1..12 and I issues at once. In order, only X1 (the stream's
+    // oldest unissued op) is counted; X2 and I are skipped silently.
+    const std::vector<trace::DynOp> ops = {dynOf(kDiv), dynOf(kAlu, 1),
+                                           dynOf(kAlu, 2), dynOf(kAlu)};
+    EXPECT_EQ(stallsOf(quietCpu(), ops).get("stall.dep"), 12u * 2u);
+    CoreConfig cfg = quietCpu();
+    cfg.inOrder = true;
+    EXPECT_EQ(stallsOf(cfg, ops).get("stall.dep"), 12u);
+}
+
+TEST(StallCounters, RetiredProducerIsNoDependence)
+{
+    // C (seq 8001) reads P (seq 1), retired ~1000 cycles earlier. C
+    // waits for the one FP port behind a 32-lane op, and meanwhile the
+    // stream fetches seq 8193, which shared P's slot in an 8192-entry
+    // completion ring. No op here depends on an in-flight producer, so
+    // no dependence stall may be recorded.
+    CoreConfig cfg = quietCpu();
+    cfg.intAluPorts = 8;
+    cfg.simdPorts = 1;  // also the FP port count
+    std::vector<trace::DynOp> ops;
+    ops.push_back(dynOf(kAlu));                       // seq 1: P
+    while (ops.size() < 7999)
+        ops.push_back(dynOf(kAlu));
+    ops.push_back(dynOf(kFalu, 0, 0xffffffffu));      // seq 8000
+    ops.push_back(dynOf(kFalu, 8000));                // seq 8001: C
+    while (ops.size() < 8192)
+        ops.push_back(dynOf(kAlu));
+    ops.push_back(dynOf(kFalu));                      // seq 8193
+    while (ops.size() < 8300)
+        ops.push_back(dynOf(kAlu));
+    auto c = stallsOf(cfg, ops);
+    EXPECT_EQ(c.get("stall.dep"), 0u);
+    EXPECT_GT(c.get("stall.port"), 0u);
+}
