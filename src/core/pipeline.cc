@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 #include "core/counters.h"
@@ -59,13 +60,61 @@ TimingCore::TimingCore(const CoreConfig &cfg)
 {
     simr_assert(cfg_.smtThreads >= 1, "bad SMT degree");
     simr_assert(cfg_.robEntries >= cfg_.smtThreads, "ROB too small");
+    simr_assert(cfg_.robEntries <= static_cast<int>(kMaxRob),
+                "ROB larger than the issue masks");
+    simr_assert(cfg_.smtThreads <= 255, "SMT degree beyond 255");
+    simr_assert(cfg_.lanes >= 1 && cfg_.issueWidth >= 1 &&
+                cfg_.schedWindow >= 1 && cfg_.commitWidth < 64,
+                "bad issue configuration");
     rob_.resize(static_cast<size_t>(cfg_.robEntries));
-    intPorts_.assign(static_cast<size_t>(cfg_.intAluPorts), 0);
-    mulPorts_.assign(static_cast<size_t>(cfg_.mulDivPorts), 0);
-    simdPorts_.assign(static_cast<size_t>(cfg_.simdPorts), 0);
-    memPorts_.assign(static_cast<size_t>(cfg_.memPorts), 0);
-    brPorts_.assign(static_cast<size_t>(cfg_.branchPorts), 0);
-    fpPorts_.assign(static_cast<size_t>(cfg_.simdPorts), 0);
+    seqMask_ = std::bit_ceil(rob_.size()) - 1;
+    for (size_t i = 0; i < opFacts_.size(); ++i) {
+        const auto op = static_cast<isa::Op>(i);
+        const isa::OpInfo &info = isa::opInfo(op);
+        OpFacts &f = opFacts_[i];
+        f.isMem = info.isMem;
+        f.writesReg = info.writesReg;
+        switch (info.fu) {
+          case isa::FuClass::IntAlu: f.port = kPortInt; break;
+          case isa::FuClass::IntMul:
+          case isa::FuClass::IntDiv: f.port = kPortMul; break;
+          case isa::FuClass::FpAlu: f.port = kPortFp; break;
+          case isa::FuClass::SimdUnit: f.port = kPortSimd; break;
+          case isa::FuClass::LoadStore: f.port = kPortMem; break;
+          case isa::FuClass::BranchUnit:
+          case isa::FuClass::SysUnit: f.port = kPortBr; break;
+          case isa::FuClass::None: f.port = kPortNone; break;
+        }
+        // Sub-batch interleaving: a per-lane computation occupies its
+        // FU for ceil(active / lanes) issue slots; inactive lanes are
+        // skipped (Fig. 8a). Pure control transfers (handled by the
+        // convergence optimizer), fences and memory ops take one slot:
+        // the LSQ allocates a single 8-wide row per batch instruction
+        // (Fig. 9) and the banked L1 models any access serialization.
+        switch (op) {
+          case isa::Op::IAlu:
+          case isa::Op::IMul:
+          case isa::Op::IDiv:
+          case isa::Op::FAlu:
+          case isa::Op::Simd:
+          case isa::Op::Branch:
+            f.perLane = true;
+            break;
+          default:
+            f.perLane = false;
+            break;
+        }
+    }
+    for (size_t a = 0; a < laneSlots_.size(); ++a)
+        laneSlots_[a] = static_cast<uint8_t>(
+            (static_cast<int>(a) + cfg_.lanes - 1) / cfg_.lanes);
+    ops_.resize(rob_.size());
+    ports_[kPortInt].assign(static_cast<size_t>(cfg_.intAluPorts), 0);
+    ports_[kPortMul].assign(static_cast<size_t>(cfg_.mulDivPorts), 0);
+    ports_[kPortFp].assign(static_cast<size_t>(cfg_.simdPorts), 0);
+    ports_[kPortSimd].assign(static_cast<size_t>(cfg_.simdPorts), 0);
+    ports_[kPortMem].assign(static_cast<size_t>(cfg_.memPorts), 0);
+    ports_[kPortBr].assign(static_cast<size_t>(cfg_.branchPorts), 0);
     // The MCU emits at most one access per lane, plus one for a
     // straddling scalar access; reserving up front keeps the per-op
     // coalesce path allocation-free.
@@ -81,28 +130,18 @@ TimingCore::allDrained() const
     if (robCount_ != 0)
         return false;
     for (const auto &s : streams_)
-        if (!s.exhausted || s.hasPending)
+        if (!s.exhausted)
             return false;
     return true;
 }
 
-bool
-TimingCore::claimPort(uint64_t cycle, const DynOp &op, uint32_t occupancy)
+inline bool
+TimingCore::claimPort(uint64_t cycle, uint8_t group, uint32_t occupancy)
 {
-    std::vector<uint64_t> *ports = nullptr;
-    switch (isa::opInfo(op.si->op).fu) {
-      case isa::FuClass::IntAlu: ports = &intPorts_; break;
-      case isa::FuClass::IntMul:
-      case isa::FuClass::IntDiv: ports = &mulPorts_; break;
-      case isa::FuClass::FpAlu: ports = &fpPorts_; break;
-      case isa::FuClass::SimdUnit: ports = &simdPorts_; break;
-      case isa::FuClass::LoadStore: ports = &memPorts_; break;
-      case isa::FuClass::BranchUnit: ports = &brPorts_; break;
-      case isa::FuClass::SysUnit: ports = &brPorts_; break;
-      case isa::FuClass::None: return true;
-    }
+    if (group == kPortNone)
+        return true;
     uint64_t soonest = UINT64_MAX;
-    for (auto &free_at : *ports) {
+    for (auto &free_at : ports_[group]) {
         if (free_at <= cycle) {
             free_at = cycle + occupancy;
             return true;
@@ -115,19 +154,15 @@ TimingCore::claimPort(uint64_t cycle, const DynOp &op, uint32_t occupancy)
     return false;
 }
 
-void
+inline void
 TimingCore::hot(int k, uint64_t n)
 {
     hotCtrs_[k] += n;
 }
 
 uint32_t
-TimingCore::executeAt(uint64_t cycle, RobEntry &e)
+TimingCore::executeAt(uint64_t cycle, const DynOp &op, uint64_t active)
 {
-    const DynOp &op = e.op;
-    uint64_t active =
-        static_cast<uint64_t>(std::max(op.activeLanes(), 1));
-
     switch (op.si->op) {
       case isa::Op::IAlu: {
         hot(kHotIntOps, active);
@@ -180,24 +215,187 @@ TimingCore::executeAt(uint64_t cycle, RobEntry &e)
     }
 }
 
+inline size_t
+TimingCore::ageOf(size_t slot) const
+{
+    return slot >= robHead_ ? slot - robHead_
+                            : slot + rob_.size() - robHead_;
+}
+
+inline size_t
+TimingCore::slotAt(size_t age) const
+{
+    size_t slot = robHead_ + age;
+    return slot >= rob_.size() ? slot - rob_.size() : slot;
+}
+
+inline size_t
+TimingCore::nextUnissued(size_t from, size_t to, bool ready) const
+{
+    // Ages at and past robCount_ have no bits set, so the last word
+    // needs no upper mask.
+    size_t w = from >> 6;
+    uint64_t bits = unissued_[w] & (ready ? ready_[w] : ~0ULL) &
+        (~0ULL << (from & 63));
+    while (bits == 0) {
+        if (++w * 64 >= to)
+            return to;
+        bits = unissued_[w] & (ready ? ready_[w] : ~0ULL);
+    }
+    return std::min(to, w * 64 + static_cast<size_t>(
+                                     std::countr_zero(bits)));
+}
+
+inline size_t
+TimingCore::countBlocked(size_t from, size_t to) const
+{
+    size_t n = 0;
+    while (from < to) {
+        size_t w = from >> 6;
+        size_t end = std::min(to, w * 64 + 64);
+        uint64_t bits = (unissued_[w] & ~ready_[w]) >> (from & 63);
+        if (end - from < 64)
+            bits &= (1ULL << (end - from)) - 1;
+        n += static_cast<size_t>(std::popcount(bits));
+        from = end;
+    }
+    return n;
+}
+
+inline void
+TimingCore::wakeAt(uint64_t cycle, size_t slot)
+{
+    const RobEntry &e = rob_[slot];
+    if (e.readyAt <= cycle) {
+        size_t age = ageOf(slot);
+        ready_[age >> 6] |= 1ULL << (age & 63);
+    } else if (e.readyAt - cycle < kWheel) {
+        size_t b = e.readyAt & (kWheel - 1);
+        rob_[slot].wakeNext = wheel_[b];
+        wheel_[b] = static_cast<uint16_t>(slot);
+        wheelBusy_[b >> 6] |= 1ULL << (b & 63);
+    } else {
+        farWake_.push(e.readyAt << 8 | slot);
+    }
+}
+
+inline void
+TimingCore::wakeDue(uint64_t cycle)
+{
+    auto setReady = [this](size_t slot) {
+        size_t age = ageOf(slot);
+        ready_[age >> 6] |= 1ULL << (age & 63);
+    };
+    while (!farWake_.empty() && (farWake_.top() >> 8) <= cycle) {
+        setReady(static_cast<size_t>(farWake_.top() & 0xff));
+        farWake_.pop();
+    }
+    // The wheel holds only wakeups less than kWheel cycles out, and the
+    // clock never jumps past one (nextEventCycle), so this cycle's
+    // bucket holds exactly the wakeups due now.
+    size_t b = cycle & (kWheel - 1);
+    for (uint16_t slot = wheel_[b]; slot != kNoLink;
+         slot = rob_[slot].wakeNext)
+        setReady(slot);
+    wheel_[b] = kNoLink;
+    wheelBusy_[b >> 6] &= ~(1ULL << (b & 63));
+}
+
+uint64_t
+TimingCore::nextWake(uint64_t cycle) const
+{
+    uint64_t next = farWake_.empty() ? UINT64_MAX : farWake_.top() >> 8;
+    // First busy bucket after this cycle's, scanning the bitmap once
+    // around from there.
+    const size_t start = (cycle + 1) & (kWheel - 1);
+    for (size_t i = 0; i <= kWheel / 64; ++i) {
+        size_t w = ((start >> 6) + i) % (kWheel / 64);
+        uint64_t bits = wheelBusy_[w];
+        if (i == 0)
+            bits &= ~0ULL << (start & 63);
+        else if (i == kWheel / 64)
+            bits &= ~(~0ULL << (start & 63));
+        if (bits) {
+            size_t b = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+            uint64_t ahead = (b - start) & (kWheel - 1);
+            return std::min(next, cycle + 1 + ahead);
+        }
+    }
+    return next;
+}
+
+void
+TimingCore::dispatch(uint64_t cycle, size_t slot, StreamCtx &s, int stream,
+                     bool mispredicted)
+{
+    const DynOp &op = ops_[slot];
+    RobEntry &e = rob_[slot];
+    e.seq = ++s.fetchedSeq;
+    e.doneCycle = UINT64_MAX;
+    e.readyAt = 0;
+    e.reqStart = s.reqStart;
+    e.waiters = kNoLink;
+    e.stream = static_cast<uint8_t>(stream);
+    e.mispredicted = mispredicted;
+    e.active = static_cast<uint8_t>(std::max(op.activeLanes(), 1));
+    e.ended = static_cast<uint8_t>(trace::popcount(op.endMask));
+
+    const OpFacts &f = opFacts_[static_cast<size_t>(op.si->op)];
+    e.port = f.port;
+    e.isMem = f.isMem;
+    e.writesReg = f.writesReg;
+    e.occupancy = f.perLane ? laneSlots_[e.active] : 1;
+
+    // Link to in-flight producers. A producer the stream already
+    // retired is complete; an issued one contributes its doneCycle; an
+    // unissued one takes this op onto its waiter list.
+    e.pending = 0;
+    const uint16_t deps[2] = {op.dep1, op.dep2 != op.dep1 ? op.dep2
+                                                           : uint16_t(0)};
+    for (int k = 0; k < 2; ++k) {
+        e.next[k] = kNoLink;
+        if (deps[k] == 0 || e.seq <= deps[k])
+            continue;
+        uint64_t pseq = e.seq - deps[k];
+        if (pseq <= s.committedSeq)
+            continue;
+        RobEntry &p = rob_[s.slotOf[pseq & seqMask_]];
+        simr_dassert(p.seq == pseq, "producer slot out of date");
+        if (p.doneCycle != UINT64_MAX) {
+            e.readyAt = std::max(e.readyAt, p.doneCycle);
+        } else {
+            e.next[k] = p.waiters;
+            p.waiters = static_cast<uint16_t>(2 * slot + k);
+            ++e.pending;
+        }
+    }
+    s.slotOf[e.seq & seqMask_] = static_cast<uint8_t>(slot);
+
+    size_t age = robCount_;
+    unissued_[age >> 6] |= 1ULL << (age & 63);
+    ready_[age >> 6] &= ~(1ULL << (age & 63));
+    if (e.pending == 0)
+        wakeAt(cycle, slot);
+}
+
 int
 TimingCore::fetch(uint64_t cycle)
 {
     int budget = cfg_.fetchWidth;
-    int n = static_cast<int>(streams_.size());
-    int partition = cfg_.robEntries / static_cast<int>(streams_.size());
+    const int n = static_cast<int>(streams_.size());
+    int fetched = 0;
+
     // SMT partitions the frontend: each hardware thread gets its slice
     // of the fetch bandwidth per cycle (Table IV: 1-wide per thread at
     // SMT-8), which is what costs SMT its single-thread latency.
-    int per_stream = std::max(1, cfg_.fetchWidth / n);
-    int fetched = 0;
-
-    for (int i = 0; i < n && budget > 0; ++i) {
-        int si = (rrCursor_ + i) % n;
+    int si = rrCursor_;
+    for (int i = 0; i < n && budget > 0; ++i, ++si) {
+        if (si == n)
+            si = 0;
         StreamCtx &s = streams_[static_cast<size_t>(si)];
-        int stream_budget = std::min(budget, per_stream);
+        int stream_budget = std::min(budget, perStreamFetch_);
         while (stream_budget > 0) {
-            if (s.exhausted && !s.hasPending)
+            if (s.exhausted)
                 break;
             if (s.waitingBranch || cycle < s.stallUntil) {
                 StallKind k = s.waitingBranch ? kStallFeBranch
@@ -205,20 +403,20 @@ TimingCore::fetch(uint64_t cycle)
                 ++cycleStalls_[k];
                 break;
             }
-            if (robCount_ >= rob_.size() || s.inFlight >= partition) {
+            if (robCount_ >= rob_.size() || s.inFlight >= partition_) {
                 ++cycleStalls_[kStallRobFull];
                 break;
             }
 
-            if (!s.hasPending) {
-                if (!s.stream->next(s.pending)) {
-                    s.exhausted = true;
-                    break;
-                }
-                s.hasPending = true;
+            // The stream writes straight into the free ROB slot.
+            size_t slot = robHead_ + robCount_;
+            if (slot >= rob_.size())
+                slot -= rob_.size();
+            DynOp &op = ops_[slot];
+            if (!s.stream->next(op)) {
+                s.exhausted = true;
+                break;
             }
-
-            DynOp &op = s.pending;
             if (op.batchStart)
                 s.reqStart = cycle;
 
@@ -232,16 +430,8 @@ TimingCore::fetch(uint64_t cycle)
                 hot(kHotIcacheMiss);
             }
 
-            // Frontend accounting: once per (batch) instruction.
-            hot(kHotFetch);
-            hot(kHotDecode);
-            hot(kHotRename);
-            hot(kHotRobWrite);
-            if (cfg_.batchWidth > 1) {
-                hot(kHotSimtSelect);
-                if (op.pathSwitch)
-                    hot(kHotPathSwitch);
-            }
+            if (cfg_.batchWidth > 1 && op.pathSwitch)
+                hot(kHotPathSwitch);
 
             bool blocks_fetch = false;
             bool mispred = false;
@@ -257,21 +447,9 @@ TimingCore::fetch(uint64_t cycle)
                 }
             }
 
-            size_t slot = robHead_ + robCount_;
-            if (slot >= rob_.size())
-                slot -= rob_.size();
-            RobEntry &e = rob_[slot];
-            e.op.copyFrom(op);
-            e.stream = si;
-            e.seq = ++s.fetchedSeq;
-            e.doneCycle = 0;
-            e.reqStart = s.reqStart;
-            e.issued = false;
-            e.mispredicted = blocks_fetch;
-            s.doneAt[e.seq % s.doneAt.size()] = UINT64_MAX;
+            dispatch(cycle, slot, s, si, blocks_fetch);
             ++robCount_;
             ++s.inFlight;
-            s.hasPending = false;
             --budget;
             --stream_budget;
             ++fetched;
@@ -284,8 +462,66 @@ TimingCore::fetch(uint64_t cycle)
             }
         }
     }
-    rrCursor_ = (rrCursor_ + 1) % n;
+    if (++rrCursor_ == n)
+        rrCursor_ = 0;
+    // Frontend accounting: once per (batch) instruction.
+    const uint64_t f = static_cast<uint64_t>(fetched);
+    hot(kHotFetch, f);
+    hot(kHotDecode, f);
+    hot(kHotRename, f);
+    hot(kHotRobWrite, f);
+    if (cfg_.batchWidth > 1)
+        hot(kHotSimtSelect, f);
     return fetched;
+}
+
+bool
+TimingCore::tryIssue(uint64_t cycle, size_t slot)
+{
+    RobEntry &e = rob_[slot];
+    if (e.isMem &&
+        memInFlight_.size() >= static_cast<size_t>(cfg_.lsqEntries)) {
+        ++cycleStalls_[kStallLsq];
+        return false;
+    }
+    if (!claimPort(cycle, e.port, e.occupancy)) {
+        ++cycleStalls_[kStallPort];
+        return false;
+    }
+
+    uint32_t lat = executeAt(cycle, ops_[slot], e.active);
+    e.doneCycle = cycle + e.occupancy - 1 + lat;
+    size_t age = ageOf(slot);
+    unissued_[age >> 6] &= ~(1ULL << (age & 63));
+
+    // Wake the consumers that waited for this issue. Each is younger,
+    // so one whose operands are now complete (a zero-latency producer)
+    // is still ahead of this cycle's scan.
+    for (uint16_t l = e.waiters; l != kNoLink;) {
+        size_t ws = l >> 1;
+        RobEntry &w = rob_[ws];
+        l = w.next[l & 1];
+        w.readyAt = std::max(w.readyAt, e.doneCycle);
+        if (--w.pending == 0)
+            wakeAt(cycle, ws);
+    }
+    e.waiters = kNoLink;
+
+    StreamCtx &s = streams_[e.stream];
+    if (cfg_.inOrder)
+        s.issuedSeq = e.seq;
+    // Register file activity (per active lane).
+    hot(kHotRegRead, 2 * uint64_t{e.active});
+    if (e.writesReg)
+        hot(kHotRegWrite, e.active);
+
+    if (e.mispredicted) {
+        // Fetch resumes after resolution plus the refill depth.
+        s.stallUntil = e.doneCycle +
+            static_cast<uint64_t>(cfg_.frontendDepth);
+        s.waitingBranch = false;
+    }
+    return true;
 }
 
 int
@@ -294,113 +530,75 @@ TimingCore::issue(uint64_t cycle)
     // Retire completed memory transactions from the LSQ occupancy.
     while (!memInFlight_.empty() && memInFlight_.top() <= cycle)
         memInFlight_.pop();
+    // Ops whose last operand completes by now become ready.
+    wakeDue(cycle);
 
+    // The scan covers unissued entries oldest first and ends at the
+    // schedWindow-th of them, or at the issue that takes the last
+    // issueWidth slot. Every dependence-blocked entry it passes counts
+    // one kStallDep; ready ones try to issue.
+    const size_t window = static_cast<size_t>(cfg_.schedWindow);
     int budget = cfg_.issueWidth;
     int issued = 0;
     size_t examined = 0;
-    // Start past the all-issued prefix (those entries would only be
-    // skipped) and keep the ring index incrementally: no div/mod on
-    // the hottest loop in the simulator.
-    const size_t rob_sz = rob_.size();
-    size_t slot = robHead_ + issuedPrefix_;
-    if (slot >= rob_sz)
-        slot -= rob_sz;
-    for (size_t i = issuedPrefix_; i < robCount_ && budget > 0 &&
-             examined < static_cast<size_t>(cfg_.schedWindow); ++i) {
-        RobEntry &e = rob_[slot];
-        if (++slot == rob_sz)
-            slot = 0;
-        if (e.issued) {
-            if (i == issuedPrefix_)
-                ++issuedPrefix_;
-            continue;
+    uint64_t dep = 0;
+
+    if (cfg_.inOrder) {
+        // Only a stream's oldest unissued op may issue; the others are
+        // passed without counting. A stream whose head fails issues
+        // nothing more this cycle, so the scan ends once every stream's
+        // head has failed.
+        size_t stuck = 0;
+        for (size_t a = nextUnissued(0, robCount_, false); a < robCount_;
+             a = nextUnissued(a + 1, robCount_, false)) {
+            ++examined;
+            size_t slot = slotAt(a);
+            const RobEntry &e = rob_[slot];
+            if (e.seq == streams_[e.stream].issuedSeq + 1) {
+                bool ok = false;
+                if (!(ready_[a >> 6] >> (a & 63) & 1))
+                    ++dep;
+                else
+                    ok = tryIssue(cycle, slot);
+                if (ok) {
+                    ++issued;
+                    if (--budget == 0)
+                        break;
+                } else if (++stuck == streams_.size()) {
+                    break;
+                }
+            }
+            if (examined == window)
+                break;
         }
-        ++examined;
-
-        StreamCtx &s = streams_[static_cast<size_t>(e.stream)];
-        if (cfg_.inOrder && e.seq != s.issuedSeq + 1)
-            continue;
-
-        // Dependence check via the per-stream completion ring. A
-        // producer the stream already retired is complete.
-        auto ready = [&](uint16_t dep) {
-            if (dep == 0 || e.seq <= dep)
-                return true;
-            uint64_t pseq = e.seq - dep;
-            if (pseq <= s.committedSeq)
-                return true;
-            return s.doneAt[pseq % s.doneAt.size()] <= cycle;
-        };
-        if (!ready(e.op.dep1) || !ready(e.op.dep2)) {
-            ++cycleStalls_[kStallDep];
-            continue;
-        }
-
-        if (e.op.isMem() &&
-            memInFlight_.size() >=
-                static_cast<size_t>(cfg_.lsqEntries)) {
-            ++cycleStalls_[kStallLsq];
-            continue;
-        }
-
-        // Sub-batch interleaving: a per-lane computation occupies its FU
-        // for ceil(active / lanes) issue slots; inactive lanes are
-        // skipped (Fig. 8a). Pure control transfers (handled by the
-        // convergence optimizer), fences and memory ops take one slot:
-        // the LSQ allocates a single 8-wide row per batch instruction
-        // (Fig. 9) and the banked L1 models any access serialization.
-        uint32_t occupancy = 1;
-        switch (e.op.si->op) {
-          case isa::Op::IAlu:
-          case isa::Op::IMul:
-          case isa::Op::IDiv:
-          case isa::Op::FAlu:
-          case isa::Op::Simd:
-          case isa::Op::Branch:
-            occupancy = static_cast<uint32_t>(
-                (std::max(e.op.activeLanes(), 1) + cfg_.lanes - 1) /
-                cfg_.lanes);
-            break;
-          default:
-            break;
-        }
-        if (!claimPort(cycle, e.op, occupancy)) {
-            ++cycleStalls_[kStallPort];
-            continue;
-        }
-
-        uint32_t lat = executeAt(cycle, e);
-        e.doneCycle = cycle + occupancy - 1 + lat;
-        // A completion at cycle+1 can never bound a skip: the earliest
-        // possible no-progress cycle is already cycle+1 (this cycle
-        // issued something), where that completion is in the past. So
-        // single-cycle ops -- the bulk of the mix -- skip the heap.
-        if (cfg_.eventDriven && e.doneCycle > cycle + 1)
-            completions_.push(e.doneCycle);
-        e.issued = true;
-        if (i == issuedPrefix_)
-            ++issuedPrefix_;
-        s.doneAt[e.seq % s.doneAt.size()] = e.doneCycle;
-        if (cfg_.inOrder)
-            s.issuedSeq = e.seq;
-        --budget;
-        ++issued;
-        hot(kHotIqWakeup);
-
-        // Register file activity (per active lane).
-        uint64_t active =
-            static_cast<uint64_t>(std::max(e.op.activeLanes(), 1));
-        hot(kHotRegRead, 2 * active);
-        if (isa::opInfo(e.op.si->op).writesReg)
-            hot(kHotRegWrite, active);
-
-        if (e.mispredicted) {
-            // Fetch resumes after resolution plus the refill depth.
-            s.stallUntil = e.doneCycle +
-                static_cast<uint64_t>(cfg_.frontendDepth);
-            s.waitingBranch = false;
+    } else {
+        // Out of order: visit only ready entries. The blocked entries
+        // between two of them are counted, not visited.
+        size_t a = 0;
+        while (true) {
+            size_t c = nextUnissued(a, robCount_, true);
+            size_t blocked = countBlocked(a, c);
+            if (examined + blocked >= window) {
+                dep += window - examined;
+                break;
+            }
+            examined += blocked;
+            dep += blocked;
+            if (c == robCount_)
+                break;
+            ++examined;
+            if (tryIssue(cycle, slotAt(c))) {
+                ++issued;
+                if (--budget == 0)
+                    break;
+            }
+            if (examined == window)
+                break;
+            a = c + 1;
         }
     }
+    cycleStalls_[kStallDep] += dep;
+    hot(kHotIqWakeup, static_cast<uint64_t>(issued));
     return issued;
 }
 
@@ -411,31 +609,38 @@ TimingCore::commit(uint64_t cycle)
     int committed = 0;
     while (robCount_ > 0 && budget > 0) {
         RobEntry &e = rob_[robHead_];
-        if (!e.issued || e.doneCycle > cycle)
+        if (e.doneCycle > cycle)
             break;
-        StreamCtx &s = streams_[static_cast<size_t>(e.stream)];
+        StreamCtx &s = streams_[e.stream];
 
-        hot(kHotRobCommit);
-        ++res_.batchOps;
-        res_.scalarInsts +=
-            static_cast<uint64_t>(std::max(e.op.activeLanes(), 1));
+        res_.scalarInsts += e.active;
 
-        if (e.op.endMask) {
-            int ended = trace::popcount(e.op.endMask);
+        if (e.ended) {
             res_.reqLatency.addN(static_cast<double>(cycle - e.reqStart),
-                                 static_cast<uint64_t>(ended));
-            res_.requests += static_cast<uint64_t>(ended);
+                                 e.ended);
+            res_.requests += e.ended;
         }
 
         if (++robHead_ == rob_.size())
             robHead_ = 0;
         --robCount_;
-        if (issuedPrefix_ > 0)
-            --issuedPrefix_;
         --s.inFlight;
         s.committedSeq = e.seq;
         --budget;
         ++committed;
+    }
+    hot(kHotRobCommit, static_cast<uint64_t>(committed));
+    res_.batchOps += static_cast<uint64_t>(committed);
+    // The masks are by age: retiring k entries shifts them down by k.
+    if (committed > 0) {
+        const unsigned k = static_cast<unsigned>(committed);
+        simr_dassert(k < 64, "commit wider than a mask word");
+        for (size_t w = 0; w < kMaskWords; ++w) {
+            uint64_t hi_u = w + 1 < kMaskWords ? unissued_[w + 1] : 0;
+            uint64_t hi_r = w + 1 < kMaskWords ? ready_[w + 1] : 0;
+            unissued_[w] = unissued_[w] >> k | hi_u << (63 - k) << 1;
+            ready_[w] = ready_[w] >> k | hi_r << (63 - k) << 1;
+        }
     }
     return committed;
 }
@@ -443,17 +648,13 @@ TimingCore::commit(uint64_t cycle)
 uint64_t
 TimingCore::nextEventCycle(uint64_t cycle)
 {
-    uint64_t next = UINT64_MAX;
-
-    // Completion of an issued, in-flight op: wakes its dependents and,
-    // at the ROB head, the committer. Un-issued entries cannot change
-    // state before one of the other events fires first. The heap is
-    // lazy: drop heads that already completed (their event is in the
-    // past, and the clock is monotone, so they can never matter again).
-    while (!completions_.empty() && completions_.top() <= cycle)
-        completions_.pop();
-    if (!completions_.empty())
-        next = completions_.top();
+    // A queued wakeup makes an op ready; the ROB head's completion lets
+    // commit proceed. Other completions change nothing a stalled cycle
+    // records: a consumer waits for its last producer, which is in the
+    // wake queue or not issued yet, and commit waits for the head.
+    uint64_t next = nextWake(cycle);
+    if (robCount_ > 0)
+        next = std::min(next, rob_[robHead_].doneCycle);
 
     // Frontend refill expiry re-enables fetch. A stream parked on an
     // unresolved branch ignores its stallUntil (resolution happens at
@@ -496,12 +697,16 @@ TimingCore::run(const std::vector<trace::DynStream *> &streams,
         streams_[i].stream = streams[i];
         streams_[i].bpred =
             std::make_unique<BatchBpred>(cfg_.majorityVoteBp);
-        streams_[i].doneAt.assign(rob_.size(), 0);
+        streams_[i].slotOf.assign(seqMask_ + 1, 0);
     }
     robHead_ = 0;
     robCount_ = 0;
-    issuedPrefix_ = 0;
+    std::fill(std::begin(unissued_), std::end(unissued_), 0);
+    std::fill(std::begin(ready_), std::end(ready_), 0);
     rrCursor_ = 0;
+    partition_ = cfg_.robEntries / static_cast<int>(streams_.size());
+    perStreamFetch_ =
+        std::max(1, cfg_.fetchWidth / static_cast<int>(streams_.size()));
     {
         // Same expression the per-op path used to evaluate, hoisted:
         // the accumulator step is a run constant.
@@ -509,16 +714,14 @@ TimingCore::run(const std::vector<trace::DynStream *> &streams,
             (cfg_.smtThreads > 1 ? cfg_.smtIcacheFactor : 1.0);
         icacheStep_ = static_cast<uint64_t>(mpki * 1000.0);
     }
-    std::fill(intPorts_.begin(), intPorts_.end(), 0);
-    std::fill(mulPorts_.begin(), mulPorts_.end(), 0);
-    std::fill(simdPorts_.begin(), simdPorts_.end(), 0);
-    std::fill(memPorts_.begin(), memPorts_.end(), 0);
-    std::fill(brPorts_.begin(), brPorts_.end(), 0);
-    std::fill(fpPorts_.begin(), fpPorts_.end(), 0);
+    for (auto &group : ports_)
+        std::fill(group.begin(), group.end(), 0);
     while (!memInFlight_.empty())
         memInFlight_.pop();
-    while (!completions_.empty())
-        completions_.pop();
+    wheel_.fill(kNoLink);
+    std::fill(std::begin(wheelBusy_), std::end(wheelBusy_), 0);
+    while (!farWake_.empty())
+        farWake_.pop();
     std::fill(std::begin(stallTotals_), std::end(stallTotals_), 0);
     std::fill(std::begin(hotCtrs_), std::end(hotCtrs_), 0);
 
@@ -535,10 +738,10 @@ TimingCore::run(const std::vector<trace::DynStream *> &streams,
         // Event-driven cycle skipping. A cycle with no commit, no issue
         // and no fetch changes nothing but the clock: every ROB entry
         // keeps its stall reason and every stream its fetch-stall
-        // reason until the next event fires (dependence/commit wake-ups
-        // are bounded by the earliest doneCycle, LSQ occupancy by
-        // memInFlight_'s head, port starvation by the earliest release,
-        // refills by stallUntil). So ticking through the stall would
+        // reason until the next event fires (dependence wakeups are
+        // bounded by the wake queue's head, commit by the ROB head's
+        // doneCycle, LSQ occupancy by memInFlight_'s head, port
+        // starvation by the earliest release, refills by stallUntil). So ticking through the stall would
         // re-record exactly this cycle's stall pattern on every skipped
         // cycle -- which is what makes replaying it `span` times
         // bit-identical, including the round-robin cursor advance. The

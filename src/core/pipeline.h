@@ -24,6 +24,7 @@
 #ifndef SIMR_CORE_PIPELINE_H
 #define SIMR_CORE_PIPELINE_H
 
+#include <array>
 #include <memory>
 #include <queue>
 #include <vector>
@@ -134,14 +135,44 @@ class TimingCore
     const CoreConfig &config() const { return cfg_; }
 
   private:
+    /** ROB capacity bound: the ready masks are four 64-bit words. */
+    static constexpr size_t kMaxRob = 256;
+    static constexpr size_t kMaskWords = kMaxRob / 64;
+    static constexpr uint16_t kNoLink = 0xffff;
+
+    /** FU port groups; ops of FuClass::None claim no port. */
+    enum PortGroup : uint8_t {
+        kPortInt = 0, kPortMul, kPortFp, kPortSimd, kPortMem, kPortBr,
+        kNumPortGroups,
+        kPortNone = kNumPortGroups,
+    };
+
+    /**
+     * The issue stage's view of one in-flight op: its timing state plus
+     * the op facts decoded once at dispatch. The DynOp payload lives
+     * apart, in ops_, and only executeAt() reads it after dispatch.
+     *
+     * Wakeup links: an op waiting on a not-yet-issued producer is on
+     * that producer's `waiters` list, once per distinct source; link id
+     * 2 * slot + k names source k of the op in ROB slot `slot`.
+     */
     struct RobEntry
     {
-        trace::DynOp op;
-        int stream = 0;
         uint64_t seq = 0;
-        uint64_t doneCycle = 0;
+        uint64_t doneCycle = 0;  ///< UINT64_MAX until issued
+        uint64_t readyAt = 0;    ///< latest completion among producers
         uint64_t reqStart = 0;   ///< latency clock of this op's request
-        bool issued = false;
+        uint16_t waiters = kNoLink;          ///< consumers to wake
+        uint16_t next[2] = {kNoLink, kNoLink};  ///< waiter-list links
+        uint16_t wakeNext = kNoLink;  ///< next slot in its wheel list
+        uint8_t stream = 0;
+        uint8_t port = kPortNone;
+        uint8_t occupancy = 1;   ///< issue slots on its FU port
+        uint8_t active = 1;      ///< active lanes, at least 1
+        uint8_t pending = 0;     ///< producers not yet issued
+        uint8_t ended = 0;       ///< requests that complete with it
+        bool isMem = false;
+        bool writesReg = false;
         bool mispredicted = false;
     };
 
@@ -153,19 +184,18 @@ class TimingCore
         uint64_t issuedSeq = 0;       ///< in-order issue cursor
         uint64_t committedSeq = 0;    ///< last op retired
         /**
-         * doneCycle ring, by seq, one slot per ROB entry: a stream has
-         * at most robEntries ops in flight, so an in-flight producer
-         * owns its slot; a retired one is complete and not looked up.
+         * ROB slot of each in-flight op, by seq (power-of-two ring of at
+         * least robEntries slots: a stream never has more in flight).
+         * A producer at or below committedSeq is complete and is not
+         * looked up.
          */
-        std::vector<uint64_t> doneAt;
+        std::vector<uint8_t> slotOf;
         bool exhausted = false;
         bool waitingBranch = false;   ///< unresolved blocking branch
         uint64_t stallUntil = 0;
         int inFlight = 0;             ///< ROB partition occupancy
         uint64_t reqStart = 0;
         uint64_t icacheAccum = 0;     ///< scaled i-miss accumulator
-        trace::DynOp pending;
-        bool hasPending = false;
     };
 
     bool allDrained() const;
@@ -177,15 +207,47 @@ class TimingCore
     int commit(uint64_t cycle);
     /// @}
 
-    /** Compute execution latency and perform side effects at issue. */
-    uint32_t executeAt(uint64_t cycle, RobEntry &e);
+    /** Decode the op just fetched into `slot` and link its producers. */
+    void dispatch(uint64_t cycle, size_t slot, StreamCtx &s, int stream,
+                  bool mispredicted);
 
-    /** Claim an FU port of the op's class; false if none this cycle. */
-    bool claimPort(uint64_t cycle, const trace::DynOp &op,
-                   uint32_t occupancy);
+    /**
+     * Try to issue the dependence-ready op in `slot`: LSQ space, then an
+     * FU port (each failure counts its stall), then execute and wake
+     * its waiters. False if it stays unissued this cycle.
+     */
+    bool tryIssue(uint64_t cycle, size_t slot);
+
+    /** Set the op's ready bit if its producers are done by `cycle`,
+     *  else queue its wakeup. */
+    void wakeAt(uint64_t cycle, size_t slot);
+
+    /** Set the ready bits of the wakeups due at `cycle`. */
+    void wakeDue(uint64_t cycle);
+
+    /** Earliest queued wakeup after `cycle`; UINT64_MAX if none. */
+    uint64_t nextWake(uint64_t cycle) const;
+
+    /** Compute execution latency and perform side effects at issue. */
+    uint32_t executeAt(uint64_t cycle, const trace::DynOp &op,
+                       uint64_t active);
+
+    /** Claim a port of the group; false if none is free this cycle. */
+    bool claimPort(uint64_t cycle, uint8_t group, uint32_t occupancy);
 
     /** Count a HotCtr event into the flat whole-run array. */
     void hot(int k, uint64_t n = 1);
+
+    /** @name Age-ordered ROB masks: bit a is the a-th oldest entry. */
+    /// @{
+    size_t ageOf(size_t slot) const;
+    size_t slotAt(size_t age) const;
+    /** First age in [from, to) that is unissued (and, if `ready`,
+     *  dependence-ready); `to` when there is none. */
+    size_t nextUnissued(size_t from, size_t to, bool ready) const;
+    /** Unissued, dependence-blocked entries with age in [from, to). */
+    size_t countBlocked(size_t from, size_t to) const;
+    /// @}
 
     /**
      * Stall-counter kinds, recorded per cycle into a scratch array so a
@@ -226,13 +288,12 @@ class TimingCore
 
     /**
      * First cycle after `cycle` at which a stalled core can change
-     * state: the earliest completion among issued in-flight ops (from
-     * the lazy `completions_` heap), the earliest frontend-refill
-     * expiry, the earliest LSQ retirement (when something stalled on
-     * the LSQ this cycle) and the earliest FU-port release (when
-     * something port-starved this cycle). UINT64_MAX when nothing is
-     * pending (the caller crawls one cycle, exactly like the reference
-     * loop would).
+     * state: the earliest queued wakeup, the ROB head's completion
+     * (commit), the earliest frontend-refill expiry, the earliest LSQ
+     * retirement (when something stalled on the LSQ this cycle) and
+     * the earliest FU-port release (when something port-starved this
+     * cycle). UINT64_MAX when nothing is pending (the caller crawls one
+     * cycle, exactly like the reference loop would).
      */
     uint64_t nextEventCycle(uint64_t cycle);
 
@@ -241,34 +302,49 @@ class TimingCore
     mem::Mcu mcu_;
     mem::MemoryHierarchy hier_;
 
+    /** What dispatch needs to know of an opcode, decoded once. */
+    struct OpFacts
+    {
+        uint8_t port = kPortNone;
+        bool perLane = false;   ///< occupies ceil(active / lanes) slots
+        bool isMem = false;
+        bool writesReg = false;
+    };
+    std::array<OpFacts, static_cast<size_t>(isa::Op::NumOps)> opFacts_;
+    /** Issue slots of a per-lane op, by active-lane count. */
+    std::array<uint8_t, trace::kMaxBatch + 1> laneSlots_;
+
     std::vector<StreamCtx> streams_;
-    std::vector<RobEntry> rob_;      ///< ring buffer
+    std::vector<RobEntry> rob_;        ///< ring buffer
+    std::vector<trace::DynOp> ops_;    ///< payload of each ROB slot
     size_t robHead_ = 0;
     size_t robCount_ = 0;
-    /**
-     * Length of the longest known all-issued prefix of the ROB (from
-     * robHead_). The issue scan starts past it -- in memory-bound
-     * phases most unretired entries are issued ops parked at the head
-     * waiting on a long-latency load, and rescanning them every cycle
-     * is the single hottest loop in the simulator. Grows when the entry
-     * at its boundary issues, shrinks by one per retirement.
-     */
-    size_t issuedPrefix_ = 0;
+    uint64_t unissued_[kMaskWords] = {};  ///< by age
+    uint64_t ready_[kMaskWords] = {};     ///< producers done, by age
+    uint64_t seqMask_ = 0;     ///< slotOf ring index mask
     int rrCursor_ = 0;
+    int partition_ = 0;        ///< per-stream ROB share
+    int perStreamFetch_ = 0;   ///< per-stream fetch slots per cycle
     uint64_t icacheStep_ = 0;  ///< per-op i-miss accumulator increment
 
-    std::vector<uint64_t> intPorts_, mulPorts_, simdPorts_, memPorts_,
-        brPorts_, fpPorts_;
+    std::vector<uint64_t> ports_[kNumPortGroups];  ///< free-at cycles
     std::priority_queue<uint64_t, std::vector<uint64_t>,
                         std::greater<uint64_t>> memInFlight_;
     /**
-     * Lazy min-heap of issued ops' doneCycles, pushed at issue and
-     * popped when stale (past). Only read by nextEventCycle(): the
-     * head is the earliest in-flight completion, without an O(ROB)
-     * sweep on every no-progress cycle.
+     * The wake queue: ops whose operands complete after the current
+     * cycle, keyed by readyAt. An op joins when its last producer
+     * issues (or at dispatch, if every producer already has) and its
+     * ready bit is set when the clock reaches readyAt. Wakeups less
+     * than kWheel cycles out sit in a timing wheel, one list of ROB
+     * slots per cycle (linked through RobEntry::wakeNext) with a bitmap
+     * of the busy cycles; later ones in a min-heap of
+     * (readyAt << 8 | slot).
      */
+    static constexpr size_t kWheel = 512;
+    std::array<uint16_t, kWheel> wheel_;
+    uint64_t wheelBusy_[kWheel / 64] = {};
     std::priority_queue<uint64_t, std::vector<uint64_t>,
-                        std::greater<uint64_t>> completions_;
+                        std::greater<uint64_t>> farWake_;
     std::vector<mem::MemAccess> scratchAccesses_;
 
     uint64_t cycleStalls_[kNumStallKinds] = {};  ///< this cycle's pattern

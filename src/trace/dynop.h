@@ -42,8 +42,6 @@ struct DynOp
     uint16_t dep2 = 0;          ///< dyn distance to src2 producer, 0 = none
     uint16_t accessSize = 0;    ///< bytes per lane access (mem ops)
     uint8_t addrCount = 0;      ///< valid entries in lane/addr arrays
-    uint8_t lane[kMaxBatch];    ///< lane of each memory address
-    uint64_t addr[kMaxBatch];   ///< per-lane virtual address (mem ops)
 
     /** Marks the lockstep engine switching serialized divergent paths. */
     bool pathSwitch = false;
@@ -53,6 +51,11 @@ struct DynOp
 
     /** First op of a new request/batch (starts the latency clock). */
     bool batchStart = false;
+
+    // The address arrays come last, so an op without memory addresses
+    // touches only the first cache line of the struct.
+    uint8_t lane[kMaxBatch];    ///< lane of each memory address
+    uint64_t addr[kMaxBatch];   ///< per-lane virtual address (mem ops)
 
     bool isMem() const { return si && isa::opInfo(si->op).isMem; }
     bool isBranch() const { return si && si->op == isa::Op::Branch; }
