@@ -48,13 +48,6 @@ ThreadState::reset(const ThreadInit &init)
     normalize();
 }
 
-isa::Pc
-ThreadState::curPc() const
-{
-    simr_assert(!done_, "curPc on a finished thread");
-    return bbPc_ + static_cast<isa::Pc>(idx_) * isa::kInstBytes;
-}
-
 const isa::StaticInst &
 ThreadState::curInst() const
 {

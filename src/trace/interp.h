@@ -64,8 +64,14 @@ class ThreadState
     /** True once main has returned. */
     bool done() const { return done_; }
 
-    /** Current position (valid while !done()). */
-    isa::Pc curPc() const;
+    /** Current position (valid while !done()). Inline: the lockstep
+     *  engine reads every lane's position on every step. */
+    isa::Pc
+    curPc() const
+    {
+        simr_assert(!done_, "curPc on a finished thread");
+        return bbPc_ + static_cast<isa::Pc>(idx_) * isa::kInstBytes;
+    }
     int curBlock() const { return block_; }
     size_t curIdx() const { return idx_; }
     int callDepth() const { return static_cast<int>(callStack_.size()); }
