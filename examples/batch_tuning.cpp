@@ -41,9 +41,7 @@ main(int argc, char **argv)
     t.header({"batch", "SIMT eff", "L1 MPKI", "latency (us)",
               "req/joule"});
     for (int bs : {4, 8, 16, 32}) {
-        auto eff = measureEfficiency(*svc, batch::Policy::PerApiArgSize,
-                                     simt::ReconvPolicy::MinSpPc, bs,
-                                     960, 42);
+        // One lockstep pass gives both the SIMT efficiency and the MPKI.
         CacheStudyOptions copt;
         copt.requests = 640;
         auto cache = studyRpuCache(*svc, bs, copt);
@@ -53,7 +51,7 @@ main(int argc, char **argv)
         topt.batchOverride = bs;
         auto run = runTiming(*svc, core::makeRpuConfig(), topt);
 
-        t.row({std::to_string(bs), Table::pct(eff.efficiency()),
+        t.row({std::to_string(bs), Table::pct(cache.simt.efficiency()),
                Table::num(cache.mpki(), 1),
                Table::num(run.core.meanLatencyUs(), 2),
                Table::num(run.reqPerJoule(), 0)});
