@@ -62,7 +62,7 @@ TimingCore::TimingCore(const CoreConfig &cfg)
     simr_assert(cfg_.robEntries >= cfg_.smtThreads, "ROB too small");
     simr_assert(cfg_.robEntries <= static_cast<int>(kMaxRob),
                 "ROB larger than the issue masks");
-    simr_assert(cfg_.smtThreads <= 255, "SMT degree beyond 255");
+    simr_assert(cfg_.smtThreads <= 64, "SMT degree beyond 64");
     simr_assert(cfg_.lanes >= 1 && cfg_.issueWidth >= 1 &&
                 cfg_.schedWindow >= 1 && cfg_.commitWidth < 64,
                 "bad issue configuration");
@@ -127,12 +127,7 @@ TimingCore::~TimingCore() = default;
 bool
 TimingCore::allDrained() const
 {
-    if (robCount_ != 0)
-        return false;
-    for (const auto &s : streams_)
-        if (!s.exhausted)
-            return false;
-    return true;
+    return robCount_ == 0 && exhaustedMask_ == allStreams_;
 }
 
 inline bool
@@ -378,6 +373,33 @@ TimingCore::dispatch(uint64_t cycle, size_t slot, StreamCtx &s, int stream,
         wakeAt(cycle, slot);
 }
 
+namespace
+{
+
+/** Bits [0, k) of a stream mask. */
+inline uint64_t
+lowBits(int k)
+{
+    return k >= 64 ? ~0ULL : (1ULL << k) - 1;
+}
+
+} // namespace
+
+void
+TimingCore::expireRefills(uint64_t cycle)
+{
+    uint64_t next = UINT64_MAX;
+    for (uint64_t m = refillMask_; m; m &= m - 1) {
+        int si = std::countr_zero(m);
+        uint64_t until = streams_[static_cast<size_t>(si)].stallUntil;
+        if (cycle >= until)
+            refillMask_ &= ~(1ULL << si);
+        else
+            next = std::min(next, until);
+    }
+    refillExpiry_ = next;
+}
+
 int
 TimingCore::fetch(uint64_t cycle)
 {
@@ -388,80 +410,113 @@ TimingCore::fetch(uint64_t cycle)
     // SMT partitions the frontend: each hardware thread gets its slice
     // of the fetch bandwidth per cycle (Table IV: 1-wide per thread at
     // SMT-8), which is what costs SMT its single-thread latency.
-    int si = rrCursor_;
-    for (int i = 0; i < n && budget > 0; ++i, ++si) {
-        if (si == n)
-            si = 0;
-        StreamCtx &s = streams_[static_cast<size_t>(si)];
-        int stream_budget = std::min(budget, perStreamFetch_);
-        while (stream_budget > 0) {
-            if (s.exhausted)
-                break;
-            if (s.waitingBranch || cycle < s.stallUntil) {
-                StallKind k = s.waitingBranch ? kStallFeBranch
-                                              : kStallFeRefill;
-                ++cycleStalls_[k];
-                break;
-            }
-            if (robCount_ >= rob_.size() || s.inFlight >= partition_) {
-                ++cycleStalls_[kStallRobFull];
-                break;
-            }
+    //
+    // Round-robin from rrCursor_ until the fetch slots run out. A
+    // stream parked at the start of the cycle (on an unresolved branch
+    // or a refill) records its stall if the round reaches it, without
+    // a visit; an exhausted one records nothing. The others are visited
+    // in round-robin order.
+    if (cycle >= refillExpiry_)
+        expireRefills(cycle);
+    const uint64_t branch0 = branchMask_;
+    const uint64_t refill0 = refillMask_;
+    const uint64_t open = allStreams_ & ~(branch0 | refill0 | exhaustedMask_);
+    int last = -1;  // the stream whose visit spent the last slot
+    for (uint64_t half : {open & ~lowBits(rrCursor_),
+                          open & lowBits(rrCursor_)}) {
+        for (; half && budget > 0; half &= half - 1) {
+            const int si = std::countr_zero(half);
+            StreamCtx &s = streams_[static_cast<size_t>(si)];
+            int stream_budget = std::min(budget, perStreamFetch_);
+            while (stream_budget > 0) {
+                if (s.exhausted)
+                    break;
+                if (s.waitingBranch || cycle < s.stallUntil) {
+                    StallKind k = s.waitingBranch ? kStallFeBranch
+                                                  : kStallFeRefill;
+                    ++cycleStalls_[k];
+                    break;
+                }
+                if (robCount_ >= rob_.size() || s.inFlight >= partition_) {
+                    ++cycleStalls_[kStallRobFull];
+                    break;
+                }
 
-            // The stream writes straight into the free ROB slot.
-            size_t slot = robHead_ + robCount_;
-            if (slot >= rob_.size())
-                slot -= rob_.size();
-            DynOp &op = ops_[slot];
-            if (!s.stream->next(op)) {
-                s.exhausted = true;
-                break;
-            }
-            if (op.batchStart)
-                s.reqStart = cycle;
+                // The stream writes straight into the free ROB slot.
+                size_t slot = robHead_ + robCount_;
+                if (slot >= rob_.size())
+                    slot -= rob_.size();
+                DynOp &op = ops_[slot];
+                if (!s.stream->next(op)) {
+                    s.exhausted = true;
+                    break;
+                }
+                if (op.batchStart)
+                    s.reqStart = cycle;
 
-            // Instruction-supply stalls: fixed-point accumulate the
-            // per-fetched-op i-miss rate; on overflow, charge a refill.
-            s.icacheAccum += icacheStep_;
-            if (s.icacheAccum >= 1000000) {
-                s.icacheAccum -= 1000000;
-                s.stallUntil = cycle +
-                    static_cast<uint64_t>(cfg_.icacheMissPenalty);
-                hot(kHotIcacheMiss);
-            }
+                // Instruction-supply stalls: fixed-point accumulate the
+                // per-fetched-op i-miss rate; on overflow, charge a refill.
+                s.icacheAccum += icacheStep_;
+                if (s.icacheAccum >= 1000000) {
+                    s.icacheAccum -= 1000000;
+                    s.stallUntil = cycle +
+                        static_cast<uint64_t>(cfg_.icacheMissPenalty);
+                    hot(kHotIcacheMiss);
+                }
 
-            if (cfg_.batchWidth > 1 && op.pathSwitch)
-                hot(kHotPathSwitch);
+                if (cfg_.batchWidth > 1 && op.pathSwitch)
+                    hot(kHotPathSwitch);
 
-            bool blocks_fetch = false;
-            bool mispred = false;
-            if (op.isBranch()) {
-                hot(kHotBpLookup);
-                if (cfg_.inOrder) {
-                    // No speculation: every branch stalls fetch until
-                    // it resolves.
-                    blocks_fetch = true;
-                } else {
-                    mispred = s.bpred->predictAndTrain(op);
-                    blocks_fetch = mispred;
+                bool blocks_fetch = false;
+                bool mispred = false;
+                if (op.isBranch()) {
+                    hot(kHotBpLookup);
+                    if (cfg_.inOrder) {
+                        // No speculation: every branch stalls fetch until
+                        // it resolves.
+                        blocks_fetch = true;
+                    } else {
+                        mispred = s.bpred->predictAndTrain(op);
+                        blocks_fetch = mispred;
+                    }
+                }
+
+                dispatch(cycle, slot, s, si, blocks_fetch);
+                ++robCount_;
+                ++s.inFlight;
+                --budget;
+                --stream_budget;
+                ++fetched;
+
+                if (blocks_fetch) {
+                    s.waitingBranch = true;
+                    if (mispred)
+                        hot(kHotBpMispredict);
+                    break;
                 }
             }
-
-            dispatch(cycle, slot, s, si, blocks_fetch);
-            ++robCount_;
-            ++s.inFlight;
-            --budget;
-            --stream_budget;
-            ++fetched;
-
-            if (blocks_fetch) {
-                s.waitingBranch = true;
-                if (mispred)
-                    hot(kHotBpMispredict);
-                break;
+            // Park the stream for the next cycles if this visit left it
+            // waiting.
+            const uint64_t bit = 1ULL << si;
+            if (s.exhausted) {
+                exhaustedMask_ |= bit;
+            } else if (s.waitingBranch) {
+                branchMask_ |= bit;
+            } else if (s.stallUntil > cycle) {
+                refillMask_ |= bit;
+                refillExpiry_ = std::min(refillExpiry_, s.stallUntil);
             }
+            if (budget == 0)
+                last = si;
         }
     }
+    const uint64_t reached = last < 0 ? allStreams_
+        : last >= rrCursor_ ? lowBits(last + 1) & ~lowBits(rrCursor_)
+                            : ~lowBits(rrCursor_) | lowBits(last + 1);
+    cycleStalls_[kStallFeBranch] +=
+        static_cast<uint64_t>(std::popcount(branch0 & reached));
+    cycleStalls_[kStallFeRefill] +=
+        static_cast<uint64_t>(std::popcount(refill0 & reached));
     if (++rrCursor_ == n)
         rrCursor_ = 0;
     // Frontend accounting: once per (batch) instruction.
@@ -520,6 +575,9 @@ TimingCore::tryIssue(uint64_t cycle, size_t slot)
         s.stallUntil = e.doneCycle +
             static_cast<uint64_t>(cfg_.frontendDepth);
         s.waitingBranch = false;
+        branchMask_ &= ~(1ULL << e.stream);
+        refillMask_ |= 1ULL << e.stream;
+        refillExpiry_ = std::min(refillExpiry_, s.stallUntil);
     }
     return true;
 }
@@ -704,6 +762,9 @@ TimingCore::run(const std::vector<trace::DynStream *> &streams,
     std::fill(std::begin(unissued_), std::end(unissued_), 0);
     std::fill(std::begin(ready_), std::end(ready_), 0);
     rrCursor_ = 0;
+    allStreams_ = lowBits(static_cast<int>(streams_.size()));
+    exhaustedMask_ = branchMask_ = refillMask_ = 0;
+    refillExpiry_ = UINT64_MAX;
     partition_ = cfg_.robEntries / static_cast<int>(streams_.size());
     perStreamFetch_ =
         std::max(1, cfg_.fetchWidth / static_cast<int>(streams_.size()));

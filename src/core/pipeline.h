@@ -203,6 +203,8 @@ class TimingCore
     /** @name Per-cycle stages. Each returns the ops it processed. */
     /// @{
     int fetch(uint64_t cycle);
+    /** Unpark the refilling streams whose stallUntil has passed. */
+    void expireRefills(uint64_t cycle);
     int issue(uint64_t cycle);
     int commit(uint64_t cycle);
     /// @}
@@ -323,6 +325,14 @@ class TimingCore
     uint64_t ready_[kMaskWords] = {};     ///< producers done, by age
     uint64_t seqMask_ = 0;     ///< slotOf ring index mask
     int rrCursor_ = 0;
+    /** @name Fetch gating, one bit per stream. */
+    /// @{
+    uint64_t allStreams_ = 0;
+    uint64_t exhaustedMask_ = 0;
+    uint64_t branchMask_ = 0;   ///< parked on an unresolved branch
+    uint64_t refillMask_ = 0;   ///< parked until stallUntil
+    uint64_t refillExpiry_ = 0; ///< earliest stallUntil in refillMask_
+    /// @}
     int partition_ = 0;        ///< per-stream ROB share
     int perStreamFetch_ = 0;   ///< per-stream fetch slots per cycle
     uint64_t icacheStep_ = 0;  ///< per-op i-miss accumulator increment
