@@ -229,6 +229,8 @@ TimingCore::nextUnissued(size_t from, size_t to, bool ready) const
 {
     // Ages at and past robCount_ have no bits set, so the last word
     // needs no upper mask.
+    if (from >= to)
+        return to;
     size_t w = from >> 6;
     uint64_t bits = unissued_[w] & (ready ? ready_[w] : ~0ULL) &
         (~0ULL << (from & 63));
