@@ -693,8 +693,7 @@ TimingCore::commit(uint64_t cycle)
     res_.batchOps += static_cast<uint64_t>(committed);
     // The masks are by age: retiring k entries shifts them down by k.
     if (committed > 0) {
-        const unsigned k = static_cast<unsigned>(committed);
-        simr_dassert(k < 64, "commit wider than a mask word");
+        const unsigned k = static_cast<unsigned>(committed);  // < 64
         for (size_t w = 0; w < kMaskWords; ++w) {
             uint64_t hi_u = w + 1 < kMaskWords ? unissued_[w + 1] : 0;
             uint64_t hi_r = w + 1 < kMaskWords ? ready_[w + 1] : 0;
